@@ -26,7 +26,7 @@ from .cohsys import (
 from .errors import FrameDegenerateError
 from .exactgeom import PointConfiguration, format_scalar, parse_scalar
 from .gale import gale_transform, is_self_associated
-from .gitstab import classify, worst_subspace
+from .gitstab import classify
 from .modhyp import duality_check, incidence_15_3
 from .verify import check_igusa, check_segre_nodes, run_all
 
@@ -56,17 +56,11 @@ def _cmd_git_classify(args: argparse.Namespace) -> int:
     config = _load_config(args.input)
     g = parse_scalar(args.g)
     verdict = classify(config, g)
-    try:
-        _, margin = worst_subspace(config, g)
-        margin_str = format_scalar(margin)
-    except ValueError:
-        # ambient rank 1: no proper subspace exists
-        margin_str = None
     _emit(
         {
             "class": verdict.classification.value,
             "witness": verdict.witness.to_json() if verdict.witness else None,
-            "margin": margin_str,
+            "margin": None if verdict.margin is None else format_scalar(verdict.margin),
         }
     )
     return 0

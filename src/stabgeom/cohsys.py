@@ -17,9 +17,10 @@ from .exactgeom import (
     PointConfiguration,
     ProjectivePoint,
     ScalarLike,
+    SpannedSubspace,
     point_spanned_subspaces,
 )
-from .gitstab import StabilityVerdict, classify
+from .gitstab import StabilityVerdict, _classify_subspaces
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,13 @@ def subsystem_types_from_config(config: PointConfiguration) -> list[SystemType]:
     d_max(s) is the largest number of configuration points lying in a
     common subspace of linear dimension at most s.
     """
-    r = config.ambient_rank
-    subs = point_spanned_subspaces(config)
+    return _subsystem_types(config.ambient_rank, point_spanned_subspaces(config))
+
+
+def _subsystem_types(r: int, subspaces: list[SpannedSubspace]) -> list[SystemType]:
     out = []
     for s in range(1, r):
-        d_max = max((len(w.members) for w in subs if w.dim <= s), default=0)
+        d_max = max((len(w.members) for w in subspaces if w.dim <= s), default=0)
         out.append(SystemType(s, d_max, s))
     return out
 
@@ -126,15 +129,21 @@ def _check_alpha(alpha: ScalarLike) -> Fraction:
     return a
 
 
+def _alpha_verdicts(
+    types: list[SystemType], weight: Fraction, a: Fraction
+) -> tuple[bool, bool]:
+    """(semistable, stable): every type has d/s + alpha <= g + alpha, resp. <."""
+    slopes = [alpha_slope(t, a) for t in types]
+    return all(m <= weight + a for m in slopes), all(m < weight + a for m in slopes)
+
+
 def alpha_semistable_config(
     config: PointConfiguration, g: ScalarLike, alpha: ScalarLike
 ) -> bool:
     """Whether every span-derived subsystem type satisfies d/s + alpha <= g + alpha."""
     weight = _check_size(config, g)
     a = _check_alpha(alpha)
-    return all(
-        alpha_slope(t, a) <= weight + a for t in subsystem_types_from_config(config)
-    )
+    return _alpha_verdicts(subsystem_types_from_config(config), weight, a)[0]
 
 
 def alpha_stable_config(
@@ -143,9 +152,7 @@ def alpha_stable_config(
     """Strict-inequality variant of alpha_semistable_config."""
     weight = _check_size(config, g)
     a = _check_alpha(alpha)
-    return all(
-        alpha_slope(t, a) < weight + a for t in subsystem_types_from_config(config)
-    )
+    return _alpha_verdicts(subsystem_types_from_config(config), weight, a)[1]
 
 
 @dataclass(frozen=True)
@@ -180,15 +187,19 @@ def equivalence_check(config: PointConfiguration, g: ScalarLike) -> EquivalenceR
     """Compare the span-criterion verdict with the alpha test past the threshold.
 
     Uses alpha = g*(r-1) + 1, strictly above every wall the span-derived
-    types can produce, so the comparison is wall-free.
+    types can produce, so the comparison is wall-free. Both routes share
+    one enumeration of the point-spanned subspaces.
     """
     weight = _check_size(config, g)
-    alpha = Fraction(stabilization_threshold(config.ambient_rank, int(weight)) + 1)
+    r = config.ambient_rank
+    alpha = Fraction(stabilization_threshold(r, int(weight)) + 1)
+    subspaces = point_spanned_subspaces(config)
+    semistable, stable = _alpha_verdicts(_subsystem_types(r, subspaces), weight, alpha)
     return EquivalenceReport(
-        git=classify(config, weight),
+        git=_classify_subspaces(subspaces, weight),
         alpha=alpha,
-        alpha_semistable=alpha_semistable_config(config, weight, alpha),
-        alpha_stable=alpha_stable_config(config, weight, alpha),
+        alpha_semistable=semistable,
+        alpha_stable=stable,
     )
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import FrameDegenerateError, SchemaError
@@ -49,6 +50,14 @@ def format_scalar(value: ScalarLike) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """Divide a nonzero integer vector by its content, leading entry made positive."""
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
 def _canonical_int_vector(coords: Iterable[ScalarLike]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, leading entry positive."""
     fracs = [parse_scalar(c) for c in coords]
@@ -57,13 +66,7 @@ def _canonical_int_vector(coords: Iterable[ScalarLike]) -> tuple[int, ...]:
     if all(c == 0 for c in fracs):
         raise ValueError("zero vector does not define a projective point")
     scale = math.lcm(*(c.denominator for c in fracs))
-    ints = [int(c * scale) for c in fracs]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    return _primitive([int(c * scale) for c in fracs])
 
 
 @dataclass(frozen=True, init=False)
@@ -431,33 +434,117 @@ class SpannedSubspace:
         return len(self.basis)
 
 
-@lru_cache(maxsize=4096)
-def _point_spanned_subspaces(config: PointConfiguration) -> tuple[SpannedSubspace, ...]:
-    r = config.ambient_rank
-    rows = config.rows()
-    n = len(rows)
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    out: list[SpannedSubspace] = []
-    for size in range(1, min(r - 1, n) + 1):
-        for combo in combinations(range(n), size):
-            basis = echelon_basis([rows[i] for i in combo])
-            if basis in seen:
-                continue
-            seen.add(basis)
-            members = tuple(i for i in range(n) if in_span(basis, rows[i]))
-            out.append(SpannedSubspace(basis=basis, members=members))
-    return tuple(out)
+_Basis = tuple[tuple[int, ...], ...]
+
+
+def _pivot(row: Sequence[int]) -> int:
+    return next(j for j, x in enumerate(row) if x)
+
+
+def _extend_basis(
+    basis: _Basis, pivots: tuple[int, ...], vector: Sequence[int]
+) -> tuple[_Basis, tuple[int, ...]]:
+    """Add a vector outside the span to a canonical primitive echelon basis.
+
+    Cross-multiplied row operations keep every entry an integer and each
+    new row is made primitive with a positive pivot, so the result is the
+    row space's RREF scaled row by row: exactly what echelon_basis returns.
+    """
+    v = list(vector)
+    for row, p in zip(basis, pivots):
+        f = v[p]
+        if f:
+            b = row[p]
+            v = [b * x - f * y for x, y in zip(v, row)]
+    new = _primitive(v)
+    q = _pivot(new)
+    lead = new[q]
+    # rows pivoting after q are zero in column q and need no reduction
+    rows = [
+        _primitive([lead * x - row[q] * y for x, y in zip(row, new)]) if row[q] else row
+        for row in basis
+    ]
+    k = bisect(pivots, q)
+    return (
+        tuple(rows[:k]) + (new,) + tuple(rows[k:]),
+        pivots[:k] + (q,) + pivots[k:],
+    )
+
+
+def _normals(basis: _Basis, pivots: tuple[int, ...], width: int) -> list[list[int]]:
+    """Integer basis of the orthogonal complement, one vector per free column."""
+    scale = math.lcm(*(row[p] for row, p in zip(basis, pivots)))
+    out = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        normal = [0] * width
+        normal[f] = scale
+        for row, p in zip(basis, pivots):
+            normal[p] = -row[f] * (scale // row[p])
+        out.append(normal)
+    return out
 
 
 def point_spanned_subspaces(config: PointConfiguration) -> list[SpannedSubspace]:
     """All proper subspaces spanned by nonempty subsets of the points.
 
-    Every such subspace is spanned by at most ambient_rank - 1 of the
-    points, so enumerating subsets up to that size is exhaustive.
-    ``members`` lists every point index lying in the subspace. Results
-    are memoized per configuration; both values are immutable.
+    In matroid terms these are the flats of rank 1 to ambient_rank - 1:
+    point sets closed under linear span. They are built rank by rank.
+    Repeated points are collapsed first, and each distinct point is a
+    rank-1 flat. Each rank-k flat is extended by every point outside it
+    that no earlier extension of the same flat already covers: the point
+    joins the flat's integer echelon basis by fraction-free elimination,
+    the new basis is looked up among the rank-(k+1) flats found so far, and
+    only a new one has its closure taken, by dot products with integer
+    normal vectors (a single one for a hyperplane). The cost is about
+    (flats) x (distinct points) integer row operations, not a rational row
+    reduction for each of the C(n, <= ambient_rank - 1) subsets.
+
+    ``basis`` is the canonical echelon basis, equal to ``echelon_basis`` of
+    the member rows; ``members`` lists every point index lying in the
+    subspace, ascending. The list is ordered by dimension, then by
+    ``members``. Ambient rank 1 has no proper subspace and gives [].
     """
-    return list(_point_spanned_subspaces(config))
+    r = config.ambient_rank
+    # canonical coordinates make equal rows the same point
+    indices: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(config.rows()):
+        indices.setdefault(row, []).append(i)
+    points = list(indices)
+    level = {(p,): ((_pivot(p),), frozenset((d,))) for d, p in enumerate(points)}
+    found = []
+    for dim in range(1, r):
+        found += level.items()
+        if dim == r - 1:
+            break
+        above: dict[_Basis, tuple[tuple[int, ...], frozenset[int]]] = {}
+        for basis, (pivots, members) in level.items():
+            covered = set(members)
+            for d, p in enumerate(points):
+                if d in covered:
+                    continue
+                key, key_pivots = _extend_basis(basis, pivots, p)
+                flat = above.get(key)
+                if flat is None:
+                    # two extensions of a flat share only its points, so covered ones stay out
+                    normals = _normals(key, key_pivots, r)
+                    closure = members.union(
+                        e for e, q in enumerate(points)
+                        if e not in covered and not any(sum(map(mul, n, q)) for n in normals)
+                    )
+                    flat = above[key] = (key_pivots, closure)
+                covered |= flat[1]
+        level = above
+    out = [
+        SpannedSubspace(
+            basis=basis,
+            members=tuple(sorted(i for d in members for i in indices[points[d]])),
+        )
+        for basis, (_, members) in found
+    ]
+    out.sort(key=lambda sub: (sub.dim, sub.members))
+    return out
 
 
 def _check_frame_general_position(config: PointConfiguration) -> None:
@@ -488,9 +575,11 @@ def projectively_equivalent(
     """The transform carrying c1 onto c2 pointwise in order, or None.
 
     Both configurations must have the same ambient rank r and n >= r + 2
-    points, with their first r + 2 points in general position; the frame
-    normalization is then unique up to scale and equality is decided by
-    comparing canonical forms.
+    points, and c1 must have its first r + 2 points in general position;
+    the frame normalization is then unique up to scale and equality is
+    decided by comparing canonical forms. A degenerate frame in c2 alone
+    gives None: projective maps preserve linear dependence of indexed
+    points, so no map carries c1's frame onto it.
     """
     if c1.ambient_rank != c2.ambient_rank:
         raise ValueError("configurations have different ambient ranks")
@@ -500,7 +589,10 @@ def projectively_equivalent(
     if len(c1) < r + 2:
         raise ValueError(f"need at least {r + 2} points for a frame comparison")
     _check_frame_general_position(c1)
-    _check_frame_general_position(c2)
+    try:
+        _check_frame_general_position(c2)
+    except FrameDegenerateError:
+        return None
     t1 = _frame_transform(c1)
     t2 = _frame_transform(c2)
     norm1 = [ProjectivePoint(mat_vec(t1, p.coords)) for p in c1.points]

@@ -18,12 +18,14 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from .errors import SubsetTooLargeError
 from .exactgeom import (
     LinearSubspace,
     PointConfiguration,
     ScalarLike,
+    SpannedSubspace,
     point_spanned_subspaces,
     rank,
 )
@@ -60,9 +62,15 @@ class Witness:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
+    """Class, witness and worst margin k - g*s over proper point-spanned subspaces.
+
+    ``margin`` is None when no proper subspace exists (ambient rank 1).
+    """
+
     classification: StabilityClass
     witness: Witness | None
     weight_g: Fraction
+    margin: Fraction | None
 
     @property
     def is_semistable(self) -> bool:
@@ -98,20 +106,23 @@ def _coerce_weight(g: ScalarLike) -> Fraction:
 
 
 def _verdict(best: _Candidate | None, g: Fraction) -> StabilityVerdict:
-    if best is None or best.margin < 0:
-        return StabilityVerdict(StabilityClass.STABLE, None, g)
+    margin = None if best is None else best.margin
+    if margin is None or margin < 0:
+        return StabilityVerdict(StabilityClass.STABLE, None, g, margin)
     witness = Witness(indices=best.indices, span_dim=best.span, size=best.size)
     cls = (
         StabilityClass.UNSTABLE
-        if best.margin > 0
+        if margin > 0
         else StabilityClass.STRICTLY_SEMISTABLE
     )
-    return StabilityVerdict(cls, witness, g)
+    return StabilityVerdict(cls, witness, g, margin)
 
 
-def _best_point_spanned(config: PointConfiguration, g: Fraction) -> _Candidate | None:
+def _best_point_spanned(
+    subspaces: Iterable[SpannedSubspace], g: Fraction
+) -> _Candidate | None:
     best: _Candidate | None = None
-    for sub in point_spanned_subspaces(config):
+    for sub in subspaces:
         cand = _Candidate(
             margin=len(sub.members) - g * sub.dim,
             size=len(sub.members),
@@ -128,10 +139,17 @@ def classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:
 
     The witness, when present, is the point set of the subspace with the
     worst margin k - g*s, ties broken by smaller size then lexicographic
-    index order.
+    index order. The verdict carries that margin.
     """
     weight = _coerce_weight(g)
-    return _verdict(_best_point_spanned(config, weight), weight)
+    return _classify_subspaces(point_spanned_subspaces(config), weight)
+
+
+def _classify_subspaces(
+    subspaces: Iterable[SpannedSubspace], g: Fraction
+) -> StabilityVerdict:
+    """classify on the already enumerated point-spanned subspaces of a configuration."""
+    return _verdict(_best_point_spanned(subspaces, g), g)
 
 
 def worst_subspace(
@@ -139,7 +157,7 @@ def worst_subspace(
 ) -> tuple[LinearSubspace, Fraction]:
     """The proper subspace maximizing (#points in W) - g*dim(W), with that margin."""
     weight = _coerce_weight(g)
-    best = _best_point_spanned(config, weight)
+    best = _best_point_spanned(point_spanned_subspaces(config), weight)
     if best is None:
         raise ValueError("no proper point-spanned subspace exists (ambient rank 1)")
     rows = config.rows()

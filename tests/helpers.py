@@ -46,3 +46,14 @@ def standard_six_config() -> PointConfiguration:
     return config_of(
         (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 4, 9)
     )
+
+
+def collinear_target_six_config():
+    """Six points in the plane, the first five in general position, 1, 3, 5 collinear.
+
+    Gale duality makes the complementary points 0, 2, 4 of the transform
+    collinear, so the target's frame is degenerate.
+    """
+    return config_of(
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 2, 1)
+    )

@@ -19,7 +19,7 @@ from stabgeom.cli import main
 from stabgeom.modhyp import DualityReport
 from stabgeom.verify import CheckResult, VerificationReport
 
-from helpers import standard_six_config, triple_point_config
+from helpers import collinear_target_six_config, standard_six_config, triple_point_config
 
 TRIPLE_ROWS = [[1, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
 
@@ -86,6 +86,28 @@ class TestGitClassify:
         _, first, _ = cli(argv)
         _, second, _ = cli(argv)
         assert first == second
+
+
+class TestSingleEnumeration:
+    @pytest.mark.parametrize(
+        "argv", [["git-classify", "--g", "2"], ["equivalence", "--g", "2"]]
+    )
+    def test_subspaces_are_enumerated_once(self, cli, config_file, monkeypatch, argv):
+        import stabgeom.cohsys
+        import stabgeom.gitstab
+
+        calls = []
+        original = stabgeom.gitstab.point_spanned_subspaces
+
+        def counted(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(stabgeom.gitstab, "point_spanned_subspaces", counted)
+        monkeypatch.setattr(stabgeom.cohsys, "point_spanned_subspaces", counted)
+        code, _, _ = cli(argv + ["--input", config_file(TRIPLE_ROWS)])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestCriticalValues:
@@ -229,6 +251,12 @@ class TestGale:
         code, out, _ = cli(["gale", "--input", path])
         assert code == 0
         assert payload(out)["self_associated"] is None
+
+    def test_degenerate_target_frame_reports_false(self, cli, config_file):
+        path = config_file([list(p.coords) for p in collinear_target_six_config().points])
+        code, out, _ = cli(["gale", "--input", path])
+        assert code == 0
+        assert payload(out)["self_associated"] is False
 
     def test_non_spanning_input_exits_two(self, cli, config_file):
         path = config_file(

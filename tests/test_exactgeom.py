@@ -1,9 +1,10 @@
 """Exact linear algebra: canonical forms, rank, spans, kernels, transforms."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stabgeom import (
     FrameDegenerateError,
@@ -31,6 +32,7 @@ from stabgeom.exactgeom import (
 from helpers import config_of, gauss_rank
 
 entries = st.integers(min_value=-30, max_value=30)
+small = st.integers(min_value=-3, max_value=3)
 
 
 def matrices(min_side=1, max_side=5):
@@ -232,6 +234,67 @@ class TestSpans:
         assert set(line.members) == {0, 1, 2, 3}
 
 
+@st.composite
+def degenerate_configurations(draw):
+    """Up to 9 points of P^(r-1), r <= 5, with forced repeats and collinear points.
+
+    Points forced collinear are integer combinations of two earlier points.
+    """
+    r = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=9))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("random", "repeat", "collinear")))
+        if kind == "repeat" and rows:
+            row = draw(st.sampled_from(rows))
+        elif kind == "collinear" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(small), draw(small)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = draw(st.lists(small, min_size=r, max_size=r))
+        rows.append(row if any(row) else [1] + [0] * (r - 1))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        rows = [rows[0]] * n  # all points equal
+    return config_of(*rows)
+
+
+def reference_flats(config):
+    """(members, dim) of every closed proper point-spanned subspace, from gauss_rank alone.
+
+    For each subset S of span dimension s < r, the members are the points i
+    with rank(S + {i}) = s.
+    """
+    rows = config.rows()
+    n = len(rows)
+    span = {
+        subset: gauss_rank([rows[i] for i in subset])
+        for size in range(1, n + 1)
+        for subset in combinations(range(n), size)
+    }
+    return {
+        (tuple(i for i in range(n) if span[tuple(sorted({*subset, i}))] == s), s)
+        for subset, s in span.items()
+        if s < config.ambient_rank
+    }
+
+
+class TestPointSpannedSubspaces:
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_configurations())
+    @example(config_of((1,), (2,), (-3,)))
+    @example(config_of(*[(1, 2, 0, -1)] * 7))
+    @example(config_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1)))
+    def test_flats_match_independent_rank_reference(self, config):
+        subs = point_spanned_subspaces(config)
+        rows = config.rows()
+        assert {(s.members, s.dim) for s in subs} == reference_flats(config)
+        assert len(subs) == len({s.members for s in subs})
+        assert subs == sorted(subs, key=lambda s: (s.dim, s.members))
+        for sub in subs:
+            assert sub.basis == echelon_basis([rows[i] for i in sub.members])
+
+
 class TestProjectiveEquivalence:
     def test_transformed_configuration_is_equivalent(self):
         config = config_of(
@@ -254,6 +317,13 @@ class TestProjectiveEquivalence:
         config = config_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1))
         with pytest.raises(FrameDegenerateError):
             projectively_equivalent(config, config)
+
+    def test_degenerate_target_frame_is_not_equivalent(self):
+        good = config_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3))
+        bad = config_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1))
+        assert projectively_equivalent(good, bad) is None
+        with pytest.raises(FrameDegenerateError):
+            projectively_equivalent(bad, good)
 
     def test_too_few_points_rejected(self):
         a = config_of((1, 0), (0, 1), (1, 1))

@@ -24,7 +24,7 @@ from stabgeom.randconf import (
     random_transform,
 )
 
-from helpers import config_of, standard_six_config
+from helpers import collinear_target_six_config, config_of, standard_six_config
 
 
 def product_with_diag(data: GaleData):
@@ -195,6 +195,11 @@ class TestSelfAssociation:
     def test_generic_configuration_is_not(self):
         assert not is_self_associated(standard_six_config())
         assert self_association_transform(standard_six_config()) is None
+
+    def test_degenerate_target_frame_is_not_self_associated(self):
+        config = collinear_target_six_config()
+        assert is_self_associated(config) is False
+        assert self_association_transform(config) is None
 
     def test_size_other_than_two_r_is_never_self_associated(self):
         five = config_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3))

@@ -34,6 +34,7 @@ class TestKnownVerdicts:
         assert verdict.witness.indices == (0, 1, 2)
         assert verdict.witness.span_dim == 1
         assert verdict.witness.size == 3
+        assert verdict.margin == 1
         assert not verdict.is_semistable
 
     def test_double_point_weight_two_is_strictly_semistable(self):
@@ -63,6 +64,8 @@ class TestKnownVerdicts:
         config = config_of((1,), (1,), (1,))
         verdict = classify(config, 2)
         assert verdict.classification is StabilityClass.STABLE
+        assert verdict.margin is None
+        assert verdict == oracle_classify(config, 2)
         with pytest.raises(ValueError):
             worst_subspace(config, 2)
 

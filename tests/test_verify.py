@@ -7,6 +7,7 @@ from stabgeom.verify import (
     CheckResult,
     check_combinatorics,
     check_destabilizing_example,
+    check_gale,
     check_igusa,
     check_thresholds,
 )
@@ -40,6 +41,11 @@ class TestCheckResult:
             "skipped": False,
             "detail": "fine",
         }
+
+    def test_gale_check_survives_degenerate_target_frames(self):
+        # seed 4 draws generic cases whose Gale transform has a collinear frame
+        result = check_gale(100, 10, 4)
+        assert result.passed, result.detail
 
     def test_fixed_checks_pass_standalone(self):
         for check in (
