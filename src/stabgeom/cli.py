@@ -16,14 +16,15 @@ from typing import Sequence
 
 from .cohsys import (
     SystemType,
-    alpha_semistable_config,
-    alpha_stable_config,
+    _alpha_verdicts,
+    _check_alpha,
+    _check_size,
     critical_values,
     destabilizing_example_config,
     equivalence_check,
     subsystem_types_from_config,
 )
-from .errors import FrameDegenerateError
+from .errors import FrameDegenerateError, SchemaError
 from .exactgeom import PointConfiguration, format_scalar, parse_scalar
 from .gale import gale_transform, is_self_associated
 from .gitstab import classify
@@ -44,11 +45,15 @@ def _fail(exc: BaseException) -> int:
 
 
 def _load_config(path: str) -> PointConfiguration:
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise SchemaError("configuration JSON is nested too deeply") from None
     return PointConfiguration.from_json_dict(data)
 
 
@@ -80,16 +85,17 @@ def _cmd_alpha_check(args: argparse.Namespace) -> int:
     config = _load_config(args.input)
     g = parse_scalar(args.g)
     alpha = parse_scalar(args.alpha)
+    weight = _check_size(config, g)
+    a = _check_alpha(alpha)
+    types = subsystem_types_from_config(config)
+    semistable, stable = _alpha_verdicts(types, weight, a)
     _emit(
         {
             "g": format_scalar(g),
             "alpha": format_scalar(alpha),
-            "semistable": alpha_semistable_config(config, g, alpha),
-            "stable": alpha_stable_config(config, g, alpha),
-            "subsystem_types": [
-                {"r": t.r, "d": t.d, "k": t.k}
-                for t in subsystem_types_from_config(config)
-            ],
+            "semistable": semistable,
+            "stable": stable,
+            "subsystem_types": [{"r": t.r, "d": t.d, "k": t.k} for t in types],
         }
     )
     return 0

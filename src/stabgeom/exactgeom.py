@@ -59,14 +59,23 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
 
 
 def _canonical_int_vector(coords: Iterable[ScalarLike]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers, leading entry positive."""
-    fracs = [parse_scalar(c) for c in coords]
-    if not fracs:
+    """Scale a nonzero rational vector to coprime integers, leading entry positive.
+
+    All-int input skips the Fractions (``type(c) is int`` keeps bool out,
+    so parse_scalar still rejects it).
+    """
+    values = list(coords)
+    if not values:
         raise ValueError("empty coordinate vector")
-    if all(c == 0 for c in fracs):
+    if all(type(c) is int for c in values):
+        ints = values
+    else:
+        fracs = [parse_scalar(c) for c in values]
+        scale = math.lcm(*(c.denominator for c in fracs))
+        ints = [c.numerator * (scale // c.denominator) for c in fracs]
+    if not any(ints):
         raise ValueError("zero vector does not define a projective point")
-    scale = math.lcm(*(c.denominator for c in fracs))
-    return _primitive([int(c * scale) for c in fracs])
+    return _primitive(ints)
 
 
 @dataclass(frozen=True, init=False)

@@ -4,6 +4,14 @@ Both hypersurfaces live in P^4 realized as the hyperplane sum(x) = 0
 inside P^5 with six permutable coordinates. A point of the hyperplane
 section is singular when the full gradient is a scalar multiple of
 (1, ..., 1), the hyperplane's normal. All evaluation is exact.
+
+A model is an integer combination of products of the power sums
+p_k = sum(x_i^k): the cubic is p3 and the quartic p2^2 - 4*p4 (Hunt,
+LNM 1637; Dolgachev-Ortland, Asterisque 165). Values, gradients (chain
+rule, dp_k/dx_i = k*x_i^(k-1)) and Hessians come from the power sums of
+the point, in integers for integer points. ``Polynomial`` is the
+expanded reference form that the tests cross-check against. Each model
+is built once per public call, never inside a loop.
 """
 
 from __future__ import annotations
@@ -13,10 +21,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import PencilSearchError, SingularPointError
-from .exactgeom import ScalarLike, parse_scalar, rank
+from .exactgeom import ScalarLike, _canonical_int_vector, kernel_basis, parse_scalar, rank
 
 NVARS = 6
 
@@ -140,36 +148,129 @@ class Polynomial:
         return f"Polynomial({self.terms!r})"
 
 
-_SYMMETRY_GENERATORS = ((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0))
+Partition = tuple[int, ...]
+
+
+def _at(terms: Iterable[tuple[Partition, int]], p: Sequence):
+    """The combination sum(c * p[k1] * p[k2] * ...) at the power sums p."""
+    return sum(c * math.prod(p[k] for k in parts) for parts, c in terms)
+
+
+def _d_dp(terms: Iterable[tuple[Partition, int]], k: int) -> list[tuple[Partition, int]]:
+    """The derivative of a power-sum combination with respect to p_k."""
+    out = []
+    for parts, c in terms:
+        if k in parts:
+            i = parts.index(k)
+            out.append((parts[:i] + parts[i + 1 :], c * parts.count(k)))
+    return out
 
 
 @dataclass(frozen=True, init=False)
 class SymmetricHypersurfaceModel:
-    """A symmetric hypersurface of the sum-zero hyperplane in six coordinates."""
+    """A symmetric hypersurface of the sum-zero hyperplane in six coordinates.
+
+    The form is an integer combination of products of the power sums
+    p_k = sum(x_i^k), keyed by partition: {(3,): 1} is p3 and
+    {(2, 2): 1, (4,): -4} is p2^2 - 4*p4. Symmetry therefore holds by
+    construction. Parts are at most six, where products of power sums are
+    linearly independent, so a nonzero coefficient set is a nonzero form.
+
+    Every evaluation computes the power sums once per point. The gradient
+    follows by the chain rule with dp_k/dx_i = k*x_i^(k-1), the Hessian
+    from the second derivatives in the p_k, so integer coordinates stay
+    integers. ``polynomial`` is the expanded form, kept for cross-checks.
+    """
 
     name: str
     degree: int
-    polynomial: Polynomial
+    terms: tuple[tuple[Partition, int], ...]
 
-    def __init__(self, name: str, degree: int, polynomial: Polynomial):
-        if polynomial.is_zero() or not polynomial.is_homogeneous():
-            raise ValueError("polynomial must be nonzero homogeneous")
-        if polynomial.degree() != degree:
-            raise ValueError("polynomial degree does not match the declared degree")
-        for perm in _SYMMETRY_GENERATORS:
-            if polynomial.permuted(perm) != polynomial:
-                raise ValueError("polynomial is not symmetric")
+    def __init__(self, name: str, degree: int, terms: Mapping[Partition, int]):
+        merged: dict[Partition, int] = {}
+        for parts, coeff in terms.items():
+            if (
+                type(parts) is not tuple
+                or not parts
+                or any(type(k) is not int or not 1 <= k <= NVARS for k in parts)
+            ):
+                raise ValueError(f"malformed partition {parts!r}")
+            if type(coeff) is not int:
+                raise ValueError(f"coefficient {coeff!r} is not an integer")
+            if sum(parts) != degree:
+                raise ValueError("partition degree does not match the declared degree")
+            key = tuple(sorted(parts, reverse=True))
+            merged[key] = merged.get(key, 0) + coeff
+        clean = tuple(sorted((key, c) for key, c in merged.items() if c))
+        if not clean:
+            raise ValueError("the form must be nonzero")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "polynomial", polynomial)
+        object.__setattr__(self, "terms", clean)
+
+    @property
+    def polynomial(self) -> Polynomial:
+        """The expanded form in the six coordinates; evaluation never uses it."""
+        out = Polynomial()
+        for parts, coeff in self.terms:
+            term = Polynomial({(0,) * NVARS: coeff})
+            for k in parts:
+                term = term * Polynomial.power_sum(k)
+            out = out + term
+        return out
+
+    def _orders(self) -> list[int]:
+        return sorted({k for parts, _ in self.terms for k in parts})
+
+    def _powers(self, point: "AmbientPoint | Sequence[ScalarLike]") -> tuple[list, list]:
+        """x_i^0 .. x_i^degree for each coordinate, and the power sums p_0 .. p_degree."""
+        if isinstance(point, AmbientPoint):
+            coords = point.coords
+        elif len(point) != NVARS:
+            raise ValueError(f"need {NVARS} coordinates")
+        else:
+            coords = [c if isinstance(c, int) else parse_scalar(c) for c in point]
+        table = []
+        for x in coords:
+            row = [1]
+            for _ in range(self.degree):
+                row.append(row[-1] * x)
+            table.append(row)
+        return table, [sum(col) for col in zip(*table)]
 
     def evaluate(self, point: "AmbientPoint | Sequence[ScalarLike]"):
-        coords = point.coords if isinstance(point, AmbientPoint) else point
-        return self.polynomial.evaluate(coords)
+        return _at(self.terms, self._powers(point)[1])
 
     def gradient(self, point: "AmbientPoint | Sequence[ScalarLike]") -> tuple:
-        coords = point.coords if isinstance(point, AmbientPoint) else point
-        return self.polynomial.gradient(coords)
+        table, p = self._powers(point)
+        chain = [(k, k * _at(_d_dp(self.terms, k), p)) for k in self._orders()]
+        return tuple(sum(d * row[k - 1] for k, d in chain) for row in table)
+
+    def hessian(self, point: "AmbientPoint | Sequence[ScalarLike]") -> list[list]:
+        """The 6x6 matrix of second partials, by the chain rule.
+
+        Entry (i, j) is the sum over k, l of d2F/dp_k dp_l times
+        k*x_i^(k-1) * l*x_j^(l-1), plus, when i = j, the sum over k of
+        dF/dp_k times k*(k-1)*x_i^(k-2).
+        """
+        table, p = self._powers(point)
+        orders = self._orders()
+        first = [_d_dp(self.terms, k) for k in orders]
+        second = [[_at(_d_dp(f, l), p) for l in orders] for f in first]
+        dx = [[k * row[k - 1] for k in orders] for row in table]
+        diag = [
+            sum(k * (k - 1) * _at(f, p) * row[k - 2] for k, f in zip(orders, first) if k > 1)
+            for row in table
+        ]
+        size = range(len(orders))
+        return [
+            [
+                sum(dx[i][a] * second[a][b] * dx[j][b] for a in size for b in size)
+                + (diag[i] if i == j else 0)
+                for j in range(NVARS)
+            ]
+            for i in range(NVARS)
+        ]
 
 
 @dataclass(frozen=True, init=False)
@@ -179,20 +280,12 @@ class AmbientPoint:
     coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[ScalarLike]):
-        fracs = [parse_scalar(c) for c in coords]
-        if len(fracs) != NVARS:
+        ints = _canonical_int_vector(coords)
+        if len(ints) != NVARS:
             raise ValueError(f"need {NVARS} coordinates")
-        if all(c == 0 for c in fracs):
-            raise ValueError("zero vector")
-        if sum(fracs) != 0:
+        if sum(ints) != 0:
             raise ValueError("coordinates must sum to zero")
-        scale = math.lcm(*(c.denominator for c in fracs))
-        ints = [int(c * scale) for c in fracs]
-        g = math.gcd(*ints)
-        ints = [v // g for v in ints]
-        if next(v for v in ints if v) < 0:
-            ints = [-v for v in ints]
-        object.__setattr__(self, "coords", tuple(ints))
+        object.__setattr__(self, "coords", ints)
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coords]
@@ -200,7 +293,7 @@ class AmbientPoint:
 
 def segre_cubic() -> SymmetricHypersurfaceModel:
     """The cubic sum(x_i^3) = 0 on the hyperplane sum(x_i) = 0."""
-    return SymmetricHypersurfaceModel("segre", 3, Polynomial.power_sum(3))
+    return SymmetricHypersurfaceModel("segre", 3, {(3,): 1})
 
 
 # Distinct parameter ratios (t : u); five of them decide any identity of
@@ -231,10 +324,11 @@ class MatchingLine:
 
     matching: tuple[tuple[int, int], ...]
 
-    def coords_at(self, t: ScalarLike, u: ScalarLike) -> tuple[Fraction, ...]:
-        tv, uv = Fraction(t), Fraction(u)
+    def coords_at(self, t: ScalarLike, u: ScalarLike) -> tuple:
+        """Coordinates (t, u, -t-u) on the three pairs; ints for integer (t, u)."""
+        tv, uv = (v if type(v) is int else Fraction(v) for v in (t, u))
         values = (tv, uv, -tv - uv)
-        coords = [Fraction(0)] * NVARS
+        coords = [0] * NVARS
         for value, pair in zip(values, self.matching):
             for i in pair:
                 coords[i] = value
@@ -254,12 +348,11 @@ def _line_singular_identity(model: SymmetricHypersurfaceModel, line: MatchingLin
 
     Both the value and the gradient-difference conditions are polynomials
     of degree at most model.degree in (t, u); checking five distinct
-    parameter ratios therefore proves the identity exactly.
+    parameter ratios therefore proves the identity exactly. None of the
+    ratios gives the zero vector.
     """
     for t, u in _LINE_PARAMS:
         coords = line.coords_at(t, u)
-        if all(c == 0 for c in coords):
-            return False
         if model.evaluate(coords) != 0:
             return False
         grad = model.gradient(coords)
@@ -268,19 +361,18 @@ def _line_singular_identity(model: SymmetricHypersurfaceModel, line: MatchingLin
     return True
 
 
-def _matching_lines(model: SymmetricHypersurfaceModel) -> list[MatchingLine] | None:
-    lines = [MatchingLine(m) for m in perfect_matchings()]
-    for line in lines:
-        if not _line_singular_identity(model, line):
-            return None
-    return lines
+def _matching_lines() -> list[MatchingLine]:
+    return [MatchingLine(m) for m in perfect_matchings()]
 
 
 def _pencil_member() -> Polynomial:
     """The member a*(sum x^2)^2 + b*sum(x^4) singular along all matching lines.
 
     Solves the linear conditions imposed by the line points on (a, b);
-    a one-dimensional solution space pins the member down up to scale.
+    a one-dimensional solution space pins the member down up to scale,
+    and every constraint holds for it by construction. This derivation
+    works on the expanded ``Polynomial`` form only, so it is an
+    independent check of the power-sum model ``igusa_quartic``.
     """
     q1 = Polynomial.power_sum(2) ** 2
     q2 = Polynomial.power_sum(4)
@@ -300,29 +392,22 @@ def _pencil_member() -> Polynomial:
         raise PencilSearchError(
             "no unique pencil member is singular along the matching lines"
         )
-    from .exactgeom import kernel_basis
-
     (coeffs,) = kernel_basis(constraints)
     a, b = coeffs
-    candidate = a * q1 + b * q2
-    model = SymmetricHypersurfaceModel("igusa", 4, candidate)
-    if _matching_lines(model) is None:
-        raise PencilSearchError("pencil solution fails the singular-lines check")
-    return candidate
+    return a * q1 + b * q2
 
 
 def igusa_quartic() -> SymmetricHypersurfaceModel:
     """The quartic (sum x^2)^2 - 4*sum(x^4) = 0 on the hyperplane sum(x) = 0.
 
-    The candidate is validated at construction by the matching-lines
-    singularity identity; if that ever failed, the unique valid member of
-    the pencil a*(sum x^2)^2 + b*sum(x^4) would be used instead.
+    Validated at construction: the singularity identity holds along every
+    matching line.
     """
-    candidate = Polynomial.power_sum(2) ** 2 + (-4) * Polynomial.power_sum(4)
-    model = SymmetricHypersurfaceModel("igusa", 4, candidate)
-    if _matching_lines(model) is not None:
-        return model
-    return SymmetricHypersurfaceModel("igusa", 4, _pencil_member())
+    model = SymmetricHypersurfaceModel("igusa", 4, {(2, 2): 1, (4,): -4})
+    for line in _matching_lines():
+        if not _line_singular_identity(model, line):
+            raise RuntimeError(f"matching line {line.matching} fails the singularity identity")
+    return model
 
 
 def verify_singular_point(model: SymmetricHypersurfaceModel, point: AmbientPoint) -> bool:
@@ -362,23 +447,15 @@ def _node_point(split: Split) -> AmbientPoint:
 
 
 def restricted_hessian_rank(model: SymmetricHypersurfaceModel, point: AmbientPoint) -> int:
-    """Rank of the Hessian quadratic form restricted to the hyperplane sum(w) = 0."""
-    hess = [
-        [model.polynomial.partial(i).partial(j).evaluate(point.coords) for j in range(NVARS)]
-        for i in range(NVARS)
-    ]
-    # basis e_i - e_{i+1} of the hyperplane's tangent directions
-    basis = []
-    for i in range(NVARS - 1):
-        v = [0] * NVARS
-        v[i], v[i + 1] = 1, -1
-        basis.append(v)
+    """Rank of the Hessian quadratic form restricted to the hyperplane sum(w) = 0.
+
+    In the basis e_a - e_(a+1) of the hyperplane's tangent directions the
+    entry (a, b) is h[a][b] - h[a][b+1] - h[a+1][b] + h[a+1][b+1].
+    """
+    h = model.hessian(point)
     restricted = [
-        [
-            sum(a[i] * hess[i][j] * b[j] for i in range(NVARS) for j in range(NVARS))
-            for b in basis
-        ]
-        for a in basis
+        [h[a][b] - h[a][b + 1] - h[a + 1][b] + h[a + 1][b + 1] for b in range(NVARS - 1)]
+        for a in range(NVARS - 1)
     ]
     return rank(restricted)
 
@@ -398,12 +475,13 @@ def segre_nodes() -> list[SegreNode]:
 
 
 def igusa_lines() -> list[MatchingLine]:
-    """The 15 singular lines of the quartic, one per perfect matching."""
-    model = igusa_quartic()
-    lines = _matching_lines(model)
-    if lines is None:
-        raise RuntimeError("matching lines fail the singularity identity")
-    return lines
+    """The 15 singular lines of the quartic, one per perfect matching.
+
+    Building the quartic proves the singularity identity along each of
+    them, so it is not repeated here.
+    """
+    igusa_quartic()
+    return _matching_lines()
 
 
 @dataclass(frozen=True)
@@ -463,10 +541,11 @@ def incidence_15_3() -> IncidenceStructure:
     for matching in matchings:
         if len(structure.points_on(matching)) != 3:
             raise RuntimeError(f"matching {matching} does not contain exactly 3 pairs")
+    lines = igusa_lines()
     geometric = frozenset(
         (ip.pair, line.matching)
         for ip in igusa_points()
-        for line in igusa_lines()
+        for line in lines
         if line.contains(ip.point)
     )
     if geometric != flags:
@@ -479,13 +558,13 @@ def polar_map(model: SymmetricHypersurfaceModel, point: AmbientPoint) -> Ambient
 
     Defined at nonsingular points of the model's hyperplane section; the
     gradient is translated by its coordinate mean so the image lands back
-    in the sum-zero chart.
+    in the sum-zero chart. The translate is scaled by NVARS to stay integral.
     """
     if model.evaluate(point) != 0:
         raise ValueError("point does not lie on the hypersurface")
-    grad = [Fraction(gi) for gi in model.gradient(point)]
-    mean = sum(grad) / NVARS
-    centered = [gi - mean for gi in grad]
+    grad = model.gradient(point)
+    total = sum(grad)
+    centered = [NVARS * gi - total for gi in grad]
     if all(c == 0 for c in centered):
         raise SingularPointError(
             "gradient is normal to the hyperplane: the point is singular"
@@ -501,15 +580,17 @@ def _random_direction(rng: random.Random) -> list[int] | None:
     return w
 
 
-def _sign_paired(coords: Sequence[ScalarLike]) -> bool:
-    """Whether the coordinates pair up to sign along some perfect matching.
+def _sign_paired(
+    coords: Sequence[ScalarLike], matchings: Iterable[tuple[tuple[int, int], ...]]
+) -> bool:
+    """Whether the coordinates pair up to sign along one of the perfect matchings.
 
     Lines through a node invariant under a coordinate transposition force
     their residual point onto such a locus (the 15 planes of the cubic
     among them); small integer directions hit this often, so the sampler
     treats it as a degenerate draw.
     """
-    for matching in perfect_matchings():
+    for matching in matchings:
         if all(coords[a] ** 2 == coords[b] ** 2 for a, b in matching):
             return True
     return False
@@ -520,13 +601,15 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
 
     A line through a node nu in direction w (sum w = 0) meets the cubic in
     lambda^2 * (a2 + a3*lambda) = 0, so the residual point nu - (a2/a3)*w
-    is rational. Draws with a3 = 0, a2 = 0, a singular residual, or a
-    sign-paired residual are skipped and retried a bounded number of times.
+    is rational; it is taken as the integer multiple a3*nu - a2*w. Draws
+    with a3 = 0, a2 = 0, a singular residual, or a sign-paired residual
+    are skipped and retried a bounded number of times.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     model = segre_cubic()
     nodes = [n.point for n in segre_nodes()]
+    matchings = perfect_matchings()
     out = []
     for index in range(count):
         rng = random.Random(seed * 1_000_003 + index)
@@ -539,12 +622,10 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
             a3 = sum(wi**3 for wi in w)
             if a3 == 0 or a2 == 0:
                 continue
-            lam = Fraction(-a2, a3)
-            coords = [n + lam * wi for n, wi in zip(nu, w)]
-            point = AmbientPoint(coords)
+            point = AmbientPoint([a3 * n - a2 * wi for n, wi in zip(nu, w)])
             if model.evaluate(point) != 0:
                 raise RuntimeError("residual intersection left the cubic")
-            if verify_singular_point(model, point) or _sign_paired(point.coords):
+            if verify_singular_point(model, point) or _sign_paired(point.coords, matchings):
                 continue
             out.append(point)
             break

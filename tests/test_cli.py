@@ -90,7 +90,12 @@ class TestGitClassify:
 
 class TestSingleEnumeration:
     @pytest.mark.parametrize(
-        "argv", [["git-classify", "--g", "2"], ["equivalence", "--g", "2"]]
+        "argv",
+        [
+            ["git-classify", "--g", "2"],
+            ["equivalence", "--g", "2"],
+            ["alpha-check", "--g", "2", "--alpha", "1"],
+        ],
     )
     def test_subspaces_are_enumerated_once(self, cli, config_file, monkeypatch, argv):
         import stabgeom.cohsys
@@ -158,6 +163,16 @@ class TestAlphaCheck:
         data = payload(out)
         assert data["semistable"] is True and data["stable"] is True
         assert data["alpha"] == "7/2"
+
+    def test_size_error_comes_before_alpha_error(self, cli, config_file):
+        path = config_file([[1, 0], [0, 1], [1, 1]])
+        code, _, err = cli(["alpha-check", "--g", "2", "--alpha", "-1", "--input", path])
+        assert code == 2
+        assert payload(err)["error"]["type"] == "SizeMismatchError"
+        path = config_file(TRIPLE_ROWS, name="triple.json")
+        code, _, err = cli(["alpha-check", "--g", "2", "--alpha", "-1", "--input", path])
+        assert code == 2
+        assert payload(err)["error"] == {"type": "ValueError", "message": "alpha must be positive"}
 
 
 class TestEquivalence:
@@ -361,6 +376,15 @@ class TestErrorPaths:
         code, _, err = cli(["git-classify", "--g", "2", "--input", str(path)])
         assert code == 2
         assert payload(err)["error"]["type"] == "JSONDecodeError"
+
+    def test_deeply_nested_json_is_a_schema_error(self, cli, tmp_path):
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"ambient_rank": 2, "points": ' + "[" * depth + "]" * depth + "}")
+        code, out, err = cli(["git-classify", "--g", "2", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert payload(err)["error"]["type"] == "SchemaError"
 
     def test_schema_violation(self, cli, tmp_path):
         path = tmp_path / "schema.json"

@@ -75,6 +75,20 @@ class TestProjectivePoint:
         with pytest.raises(ValueError):
             ProjectivePoint([0, 0, 0])
 
+    def test_bool_coordinates_rejected(self):
+        with pytest.raises(SchemaError):
+            ProjectivePoint([True, 0, 1])
+        with pytest.raises(SchemaError):
+            ProjectivePoint([False, False])
+
+    @given(st.lists(entries, min_size=1, max_size=5))
+    def test_int_path_matches_the_fraction_path(self, coords):
+        if not any(coords):
+            return
+        point = ProjectivePoint(coords)
+        assert point == ProjectivePoint([Fraction(c) for c in coords])
+        assert all(type(c) is int for c in point.coords)
+
     @given(st.lists(entries, min_size=1, max_size=5), st.fractions())
     def test_scaling_is_invisible(self, coords, scale):
         if not any(coords) or scale == 0:

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabgeom import (
     AmbientPoint,
@@ -25,6 +26,8 @@ from stabgeom import (
     verify_singular_point,
 )
 from stabgeom.modhyp import NVARS, Polynomial, _pencil_member, _sign_paired
+
+from helpers import gauss_rank
 
 
 class TestPolynomial:
@@ -72,13 +75,31 @@ class TestModels:
                 assert poly.permuted(perm) == poly
 
     def test_constructor_validation(self):
-        asym = Polynomial({(3, 0, 0, 0, 0, 0): 1})
+        # wrong degree
         with pytest.raises(ValueError):
-            SymmetricHypersurfaceModel("bad", 3, asym)
+            SymmetricHypersurfaceModel("bad", 4, {(3,): 1})
         with pytest.raises(ValueError):
-            SymmetricHypersurfaceModel("bad", 4, Polynomial.power_sum(3))
+            SymmetricHypersurfaceModel("bad", 4, {(2, 2): 1, (3,): 1})
+        # zero form
         with pytest.raises(ValueError):
-            SymmetricHypersurfaceModel("bad", 0, Polynomial())
+            SymmetricHypersurfaceModel("bad", 0, {})
+        with pytest.raises(ValueError):
+            SymmetricHypersurfaceModel("bad", 3, {(3,): 0})
+        with pytest.raises(ValueError):
+            SymmetricHypersurfaceModel("bad", 4, {(1, 3): 1, (3, 1): -1, (4,): 0})
+        # malformed partitions and coefficients
+        for parts in [(), (0, 3), (-1, 4), (7,), (True, 2), ("3",), 3, "3"]:
+            with pytest.raises(ValueError):
+                SymmetricHypersurfaceModel("bad", 3, {parts: 1})
+        with pytest.raises(ValueError):
+            SymmetricHypersurfaceModel("bad", 3, {(3,): Fraction(1, 2)})
+
+    def test_terms_are_canonical(self):
+        quartic = SymmetricHypersurfaceModel("igusa", 4, {(4,): -4, (2, 2): 1})
+        assert quartic.terms == (((2, 2), 1), ((4,), -4))
+        assert quartic == igusa_quartic()
+        merged = SymmetricHypersurfaceModel("m", 4, {(1, 3): 2, (3, 1): 1, (2, 1, 1): 0})
+        assert merged.terms == (((3, 1), 3),)
 
     def test_quartic_equals_the_unique_pencil_member(self):
         expected = Polynomial.power_sum(2) ** 2 + (-4) * Polynomial.power_sum(4)
@@ -90,6 +111,84 @@ class TestModels:
         assert igusa_quartic().degree == 4
         assert segre_cubic().name == "segre"
         assert igusa_quartic().name == "igusa"
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+@st.composite
+def hyperplane_coords(draw):
+    """Six coordinates summing to zero: all ints, or rationals."""
+    if draw(st.booleans()):
+        entry = st.integers(-40, 40)
+    else:
+        entry = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    head = draw(st.lists(entry, min_size=NVARS - 1, max_size=NVARS - 1))
+    return head + [-sum(head)]
+
+
+@st.composite
+def power_sum_forms(draw):
+    degree = draw(st.integers(1, 4))
+    terms = draw(
+        st.dictionaries(
+            st.sampled_from(list(_partitions(degree))),
+            st.integers(-5, 5).filter(bool),
+            min_size=1,
+        )
+    )
+    return SymmetricHypersurfaceModel("form", degree, terms)
+
+
+def _expanded_hessian(poly, coords):
+    return [[d.partial(j).evaluate(coords) for j in range(NVARS)] for d in poly.partials()]
+
+
+class TestPowerSumCore:
+    """The power-sum evaluation against the expanded Polynomial form."""
+
+    def _agree(self, model, coords):
+        poly = model.polynomial
+        assert model.evaluate(coords) == poly.evaluate(coords)
+        assert model.gradient(coords) == tuple(d.evaluate(coords) for d in poly.partials())
+        hess = _expanded_hessian(poly, coords)
+        assert model.hessian(coords) == hess
+        if any(coords):
+            point = AmbientPoint(coords)
+            restricted = [
+                [hess[a][b] - hess[a][b + 1] - hess[a + 1][b] + hess[a + 1][b + 1]
+                 for b in range(NVARS - 1)]
+                for a in range(NVARS - 1)
+            ]
+            # the point is rescaled to integers; ranks do not change
+            rescaled = _expanded_hessian(poly, point.coords)
+            assert gauss_rank(restricted) == restricted_hessian_rank(model, point)
+            assert model.hessian(point) == rescaled
+
+    @given(hyperplane_coords())
+    @settings(max_examples=60, deadline=None)
+    def test_both_models_match_the_expansion(self, coords):
+        for model in (segre_cubic(), igusa_quartic()):
+            self._agree(model, coords)
+
+    @given(power_sum_forms(), hyperplane_coords())
+    @settings(max_examples=60, deadline=None)
+    def test_any_form_matches_the_expansion(self, model, coords):
+        self._agree(model, coords)
+
+    def test_integer_points_stay_integral(self):
+        coords = [3, -1, 4, -1, -5, 0]
+        for model in (segre_cubic(), igusa_quartic()):
+            assert type(model.evaluate(coords)) is int
+            assert all(type(g) is int for g in model.gradient(coords))
+            assert all(type(h) is int for row in model.hessian(coords) for h in row)
+        assert all(type(c) is int for c in MatchingLine(perfect_matchings()[3]).coords_at(2, -7))
 
 
 class TestAmbientPoint:
@@ -105,6 +204,15 @@ class TestAmbientPoint:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             AmbientPoint([1, -1])
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError):
+            AmbientPoint([0] * 6)
+
+    def test_int_and_fraction_inputs_agree(self):
+        ints = AmbientPoint([6, -4, 2, 0, -2, -2])
+        assert ints.coords == (3, -2, 1, 0, -1, -1)
+        assert AmbientPoint([Fraction(c, 7) for c in (6, -4, 2, 0, -2, -2)]) == ints
 
 
 class TestSegreNodes:
@@ -233,7 +341,7 @@ class TestPolarDuality:
         # image is constant on those pairs, hence on a singular line
         x = AmbientPoint([1, -1, 2, -2, 3, -3])
         assert segre_cubic().evaluate(x) == 0
-        assert _sign_paired(x.coords)
+        assert _sign_paired(x.coords, perfect_matchings())
         y = polar_map(segre_cubic(), x)
         igusa = igusa_quartic()
         assert igusa.evaluate(y) == 0
@@ -261,7 +369,7 @@ class TestSampling:
         for p in points:
             assert model.evaluate(p) == 0
             assert not verify_singular_point(model, p)
-            assert not _sign_paired(p.coords)
+            assert not _sign_paired(p.coords, perfect_matchings())
 
     def test_deterministic_per_seed(self):
         a = sample_segre_points(8, seed=4)
