@@ -26,7 +26,7 @@ from .cohsys import (
 )
 from .errors import FrameDegenerateError, SchemaError
 from .exactgeom import PointConfiguration, format_scalar, parse_scalar
-from .gale import gale_transform, is_self_associated
+from .gale import gale_transform
 from .gitstab import classify
 from .modhyp import duality_check, incidence_15_3
 from .verify import check_igusa, check_segre_nodes, run_all
@@ -121,10 +121,10 @@ def _cmd_destable_example(args: argparse.Namespace) -> int:
 
 def _cmd_gale(args: argparse.Namespace) -> int:
     config = _load_config(args.input)
-    data = gale_transform(config, seed=args.seed)
+    data = gale_transform(config)
     payload = data.to_json()
     try:
-        payload["self_associated"] = is_self_associated(config, seed=args.seed)
+        payload["self_associated"] = data.self_associated()
     except FrameDegenerateError:
         # transform exists but the frame comparison is undefined
         payload["self_associated"] = None
@@ -220,7 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gale", help="Gale transform and self-association test")
     p.add_argument("--input", required=True, help="configuration JSON file, or - for stdin")
-    p.add_argument("--seed", type=int, default=0, help="seed for basis recombination")
+    p.add_argument(
+        "--seed", type=int, default=0, help="accepted for compatibility; has no effect"
+    )
     p.set_defaults(func=_cmd_gale)
 
     p = sub.add_parser("hypersurface", help="cubic/quartic verification commands")

@@ -179,8 +179,8 @@ def _clear_row_to_ints(row: Sequence[ScalarLike]) -> list[int]:
     return [int(c * scale) for c in fracs]
 
 
-def rank(matrix: Sequence[Sequence[ScalarLike]]) -> int:
-    """Exact rank of a rational matrix via fraction-free (Bareiss) elimination."""
+def _int_rows(matrix: Sequence[Sequence[ScalarLike]]) -> list[list[int]]:
+    """The rows as fresh integer lists, each scaled by its own denominators."""
     m: list[list[int]] = []
     width = None
     for row in matrix:
@@ -189,11 +189,18 @@ def rank(matrix: Sequence[Sequence[ScalarLike]]) -> int:
             width = len(r)
         elif len(r) != width:
             raise ValueError("ragged matrix")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in r):
+        if not all(type(x) is int for x in r):
             r = _clear_row_to_ints(r)
         m.append(r)
     if not m or not width:
         raise ValueError("matrix must be nonempty")
+    return m
+
+
+def rank(matrix: Sequence[Sequence[ScalarLike]]) -> int:
+    """Exact rank of a rational matrix via fraction-free (Bareiss) elimination."""
+    m = _int_rows(matrix)
+    width = len(m[0])
     nrows = len(m)
     rk = 0
     prev = 1
@@ -269,18 +276,17 @@ def echelon_basis(matrix: Sequence[Sequence[ScalarLike]]) -> tuple[tuple[int, ..
 
 
 def kernel_basis(matrix: Sequence[Sequence[ScalarLike]]) -> list[tuple[int, ...]]:
-    """Canonical primitive-integer basis of the right kernel, one vector per free column."""
-    rows, pivots = reduced_row_echelon(matrix)
-    width = len(matrix[0])
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -rows[i][f]
-        basis.append(_canonical_int_vector(vec))
-    return basis
+    """Canonical primitive-integer basis of the right kernel, one vector per free column.
+
+    The rows, cleared to integers, join an integer echelon basis by
+    fraction-free elimination, and the kernel is read off as its normals:
+    each is a positive multiple of the RREF kernel vector of its column.
+    """
+    rows = _int_rows(matrix)
+    basis, pivots = (), ()
+    for row in rows:
+        basis, pivots = _extend_basis(basis, pivots, row)
+    return [_primitive(n) for n in _normals(basis, pivots, len(rows[0]))]
 
 
 def in_span(basis: Sequence[Sequence[ScalarLike]], vector: Sequence[ScalarLike]) -> bool:
@@ -453,11 +459,12 @@ def _pivot(row: Sequence[int]) -> int:
 def _extend_basis(
     basis: _Basis, pivots: tuple[int, ...], vector: Sequence[int]
 ) -> tuple[_Basis, tuple[int, ...]]:
-    """Add a vector outside the span to a canonical primitive echelon basis.
+    """Add a vector to a canonical primitive echelon basis.
 
     Cross-multiplied row operations keep every entry an integer and each
     new row is made primitive with a positive pivot, so the result is the
     row space's RREF scaled row by row: exactly what echelon_basis returns.
+    A vector already in the span leaves the basis as it is.
     """
     v = list(vector)
     for row, p in zip(basis, pivots):
@@ -465,6 +472,8 @@ def _extend_basis(
         if f:
             b = row[p]
             v = [b * x - f * y for x, y in zip(v, row)]
+    if not any(v):
+        return basis, pivots
     new = _primitive(v)
     q = _pivot(new)
     lead = new[q]

@@ -3,16 +3,18 @@
 For gamma points spanning P^r with gamma = r + s + 2, the transform
 produces gamma points in P^s whose coordinate matrix G' satisfies
 G^T D G' = 0 for a nonsingular diagonal D. The kernel of G^T is computed
-exactly; target rows are stored in canonical primitive form and D absorbs
-the per-row scaling, so the stored matrices satisfy the identity as is.
+exactly by fraction-free integer elimination; target rows are stored in
+canonical primitive form and D absorbs the per-row scaling, so the stored
+matrices satisfy the identity as is. The identity is checked in integers,
+with D cleared of its denominators once.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DegenerateConfigurationError, RowEliminationError
 from .exactgeom import (
@@ -23,8 +25,6 @@ from .exactgeom import (
     projectively_equivalent,
     rank,
 )
-
-_REPAIR_ATTEMPTS = 20
 
 
 @dataclass(frozen=True, init=False)
@@ -56,18 +56,24 @@ class GaleData:
         d = tuple(Fraction(x) for x in diag)
         if any(x == 0 for x in d):
             raise ValueError("diag entries must be nonzero")
-        g_rows = source.rows()
-        gp_rows = target.rows()
-        for col in range(source.ambient_rank):
-            for colp in range(target.ambient_rank):
-                total = sum(
-                    g_rows[i][col] * d[i] * gp_rows[i][colp] for i in range(gamma)
-                )
-                if total != 0:
-                    raise ValueError("G^T D G' = 0 fails for the given data")
+        # D times the lcm of its denominators is integral with the same zero product
+        scale = lcm(*(x.denominator for x in d))
+        d_int = [x.numerator * (scale // x.denominator) for x in d]
+        g_cols = list(zip(*source.rows()))
+        for gp_col in zip(*target.rows()):
+            weighted = list(map(mul, d_int, gp_col))
+            if any(sum(map(mul, g_col, weighted)) for g_col in g_cols):
+                raise ValueError("G^T D G' = 0 fails for the given data")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "diag", d)
+
+    def self_associated(self) -> bool:
+        """Whether the source is projectively equivalent to this transform."""
+        # unless n = 2r the transform lives in a different ambient space
+        if self.target.ambient_rank != self.source.ambient_rank:
+            return False
+        return projectively_equivalent(self.source, self.target) is not None
 
     def to_json(self) -> dict:
         from .exactgeom import format_scalar
@@ -79,20 +85,13 @@ class GaleData:
         }
 
 
-def _random_invertible(rng: random.Random, n: int) -> list[list[int]]:
-    while True:
-        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if rank(m) == n:
-            return m
-
-
-def gale_transform(config: PointConfiguration, seed: int = 0) -> GaleData:
+def gale_transform(config: PointConfiguration) -> GaleData:
     """Gale transform of a spanning configuration with gamma >= r + 3 points.
 
     The target coordinate matrix is a kernel basis of G^T arranged as
-    columns. A zero row would mean the remaining points lie on a
-    hyperplane; random basis recombination is attempted a bounded number
-    of times, after which the transform is reported undefined.
+    columns. A zero row means the other gamma - 1 points lie on a
+    hyperplane; it stays zero under every change of kernel basis, so the
+    transform is undefined.
     """
     gamma = len(config)
     big_r = config.ambient_rank
@@ -112,23 +111,10 @@ def gale_transform(config: PointConfiguration, seed: int = 0) -> GaleData:
         [kernel[j][i] for j in range(width)] for i in range(gamma)
     ]
     if any(not any(row) for row in gp_rows):
-        # A zero row is invariant under any change of kernel basis, so the
-        # recombination loop is a bounded formality before reporting failure.
-        rng = random.Random(seed)
-        for _ in range(_REPAIR_ATTEMPTS):
-            mix = _random_invertible(rng, width)
-            cand = [
-                [sum(row[k] * mix[k][j] for k in range(width)) for j in range(width)]
-                for row in gp_rows
-            ]
-            if all(any(r) for r in cand):
-                gp_rows = cand
-                break
-        else:
-            raise RowEliminationError(
-                "no kernel basis with all rows nonzero: some gamma - 1 points "
-                "lie on a hyperplane"
-            )
+        raise RowEliminationError(
+            "no kernel basis with all rows nonzero: some gamma - 1 points "
+            "lie on a hyperplane"
+        )
     points = []
     diag = []
     for row in gp_rows:
@@ -142,20 +128,14 @@ def gale_transform(config: PointConfiguration, seed: int = 0) -> GaleData:
     return GaleData(source=config, target=target, diag=tuple(diag))
 
 
-def is_self_associated(config: PointConfiguration, seed: int = 0) -> bool:
+def is_self_associated(config: PointConfiguration) -> bool:
     """Whether the configuration is projectively equivalent to its Gale transform."""
-    data = gale_transform(config, seed=seed)
-    # unless n = 2r the transform lives in a different ambient space
-    if data.target.ambient_rank != config.ambient_rank:
-        return False
-    return projectively_equivalent(config, data.target) is not None
+    return gale_transform(config).self_associated()
 
 
-def self_association_transform(
-    config: PointConfiguration, seed: int = 0
-) -> ProjectiveTransform | None:
+def self_association_transform(config: PointConfiguration) -> ProjectiveTransform | None:
     """The transform realizing self-association, when one exists."""
-    data = gale_transform(config, seed=seed)
+    data = gale_transform(config)
     if data.target.ambient_rank != config.ambient_rank:
         return None
     return projectively_equivalent(config, data.target)

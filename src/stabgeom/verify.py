@@ -264,8 +264,8 @@ def check_gale(involutions: int = 100, assoc_cases: int = 10, seed: int = 0) -> 
     for i in range(involutions):
         config = random_frame_configuration(rng, 3, 6)
         try:
-            once = gale_transform(config, seed=seed)
-            twice = gale_transform(once.target, seed=seed)
+            once = gale_transform(config)
+            twice = gale_transform(once.target)
             if not _gale_product_zero(once) or not _gale_product_zero(twice):
                 failures.append(f"involution case {i}: product G^T D G' != 0")
             if projectively_equivalent(config, twice.target) is None:
@@ -280,7 +280,7 @@ def check_gale(involutions: int = 100, assoc_cases: int = 10, seed: int = 0) -> 
         try:
             if not on_smooth_conic(moved):
                 failures.append(f"conic case {i}: conic test rejects params {params}")
-            if not is_self_associated(moved, seed=seed):
+            if not is_self_associated(moved):
                 failures.append(f"conic case {i}: not self-associated, params {params}")
         except StabgeomError as exc:
             failures.append(f"conic case {i}: {type(exc).__name__}: {exc}")
@@ -290,7 +290,7 @@ def check_gale(involutions: int = 100, assoc_cases: int = 10, seed: int = 0) -> 
         if on_smooth_conic(config):
             continue
         try:
-            if is_self_associated(config, seed=seed):
+            if is_self_associated(config):
                 failures.append(f"generic case {done}: self-associated off a conic, rows={config.rows()}")
         except StabgeomError as exc:
             failures.append(f"generic case {done}: {type(exc).__name__}: {exc}")

@@ -1,7 +1,9 @@
 """CLI contract: JSON shapes, exit codes, determinism, round-trips."""
 
+import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -111,6 +113,31 @@ class TestSingleEnumeration:
         monkeypatch.setattr(stabgeom.gitstab, "point_spanned_subspaces", counted)
         monkeypatch.setattr(stabgeom.cohsys, "point_spanned_subspaces", counted)
         code, _, _ = cli(argv + ["--input", config_file(TRIPLE_ROWS)])
+        assert code == 0
+        assert len(calls) == 1
+
+
+class TestSingleGaleTransform:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [list(p.coords) for p in conic_parameter_points([0, 1, -1, 2, -2, 3]).points],
+            [list(p.coords) for p in standard_six_config().points],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3], [1, 4, 9], [2, 3, 5]],
+        ],
+    )
+    def test_gale_transforms_once(self, cli, config_file, monkeypatch, rows):
+        import stabgeom.gale
+
+        calls = []
+        original = stabgeom.gale.kernel_basis
+
+        def counted(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(stabgeom.gale, "kernel_basis", counted)
+        code, _, _ = cli(["gale", "--input", config_file(rows)])
         assert code == 0
         assert len(calls) == 1
 
@@ -280,6 +307,62 @@ class TestGale:
         code, _, err = cli(["gale", "--input", path])
         assert code == 2
         assert payload(err)["error"]["type"] == "DegenerateConfigurationError"
+
+
+def _seeded_rows(r, n):
+    """n seeded points of [-9, 9]^r, the sizes of the benchmark's gale inputs."""
+    rng = random.Random(f"gale-{r}-{n}")
+    return [[rng.randint(-9, 9) for _ in range(r)] for _ in range(n)]
+
+
+class TestGaleGoldenBytes:
+    """SHA-256 of `stab gale` stdout: the CLI bytes are a fixed contract."""
+
+    @pytest.mark.parametrize(
+        "rows, self_associated, digest",
+        [
+            (
+                [list(p.coords) for p in conic_parameter_points([0, 1, -1, 2, -2, 3]).points],
+                True,
+                "7b929a475da7148569f19421958cf76e762b8fa46e75e2b22ee5d43a98baedab",
+            ),
+            (
+                _seeded_rows(3, 12),
+                False,
+                "85b86232dea80ef9e94add4640fe9deb7c8e73f458a8df20008c2587c9be0747",
+            ),
+            (
+                _seeded_rows(5, 20),
+                False,
+                "d6be900c11a9f168948c9333b363abb45019c04c15d64900853d832ae4f7df59",
+            ),
+            (
+                _seeded_rows(8, 30),
+                False,
+                "4eb0c870a976a8f29b85cf2d9b7ac3755153bd3fc955e2f5dca8ad361fe1b603",
+            ),
+            (
+                [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3]],
+                None,
+                "66066486a4be48ec85db13270ee17756e0bc2c3ba7b79f6dcbc6c4d4b6811b7d",
+            ),
+            (
+                [list(p.coords) for p in collinear_target_six_config().points],
+                False,
+                "f716097ef2649e22033f9bedf0e61ddbe47044774c53454c8240862d34b2c915",
+            ),
+        ],
+        ids=["conic", "seeded-3-12", "seeded-5-20", "seeded-8-30", "degenerate-frame", "collinear-target"],
+    )
+    def test_stdout_bytes(self, cli, config_file, rows, self_associated, digest):
+        path = config_file(rows)
+        # --seed is a documented no-op: the bytes must not depend on it
+        for argv in (["gale", "--input", path], ["gale", "--input", path, "--seed", "7"]):
+            code, out, err = cli(argv)
+            assert code == 0
+            assert err == ""
+            assert payload(out)["self_associated"] is self_associated
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestHypersurface:

@@ -19,6 +19,7 @@ from stabgeom import (
     span_dim,
 )
 from stabgeom.exactgeom import (
+    _canonical_int_vector,
     echelon_basis,
     in_span,
     invert,
@@ -41,6 +42,39 @@ def matrices(min_side=1, max_side=5):
             st.lists(entries, min_size=w, max_size=w), min_size=1, max_size=6
         )
     )
+
+
+rationals = st.one_of(
+    small,
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6).map(format_scalar),
+)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Rational rows of width 1-6 mixed with zero rows and repeats."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    pool = draw(st.lists(st.lists(rationals, min_size=width, max_size=width), min_size=1, max_size=4))
+    pool.append([0] * width)
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), min_size=1, max_size=7))
+    return [list(pool[i]) for i in picks]
+
+
+def rref_kernel(m):
+    """The kernel read off the Fraction RREF, one vector per free column."""
+    rows, pivots = reduced_row_echelon(m)
+    width = len(m[0])
+    out = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -rows[i][f]
+        out.append(_canonical_int_vector(vec))
+    return out
 
 
 class TestScalars:
@@ -187,6 +221,26 @@ class TestEchelonAndKernel:
         basis = echelon_basis(m)
         assert all(in_span(basis, row) for row in m)
         assert len(basis) == rank(m)
+
+    @given(kernel_matrices())
+    @settings(max_examples=200)
+    @example([[1, 0], [0, 1]])
+    @example([[Fraction(1, 2), "2/3", 3], ["-1/5", 0, 1], [4, Fraction(-7, 3), "5"]])
+    @example([[0]])
+    @example([[3], ["1/2"]])
+    @example([[0, 0, 0], [0, 0, 0]])
+    @example([[1, 2, 3], [1, 2, 3], [0, 0, 0], ["2", "4", "6"]])
+    def test_kernel_equals_the_rref_reference(self, m):
+        assert kernel_basis(m) == rref_kernel(m)
+
+    def test_kernel_of_full_column_rank_is_empty(self):
+        assert kernel_basis([[1, 2], [3, 4], [5, 6]]) == []
+        assert kernel_basis([["1/2"]]) == []
+
+    @pytest.mark.parametrize("bad", [[], [[]], [[1, 2], [1]], [[1], [2, 3]]])
+    def test_kernel_rejects_empty_and_ragged(self, bad):
+        with pytest.raises(ValueError):
+            kernel_basis(bad)
 
     def test_in_span_fraction_route_agrees_with_int_route(self):
         basis = echelon_basis([[2, 0, 4], [0, 3, 9]])

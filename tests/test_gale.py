@@ -135,6 +135,37 @@ class TestGaleData:
         with pytest.raises(ValueError):
             GaleData(source=data.source, target=data.target, diag=(1,) * 5)
 
+    def test_accepts_a_rational_multiple_of_the_witness(self):
+        config = config_of((1, 2, 3), (2, -1, 4), (3, 5, -2), (1, 1, 1), (4, 1, 7), (2, 3, 5))
+        data = gale_transform(config)
+        assert data.diag == (1, 1, 1, -53, -53, -53)
+        # 2/53 leaves entries with different denominators
+        for factor in (Fraction(2, 7), Fraction(2, 53)):
+            diag = tuple(x * factor for x in data.diag)
+            scaled = GaleData(source=data.source, target=data.target, diag=diag)
+            assert scaled.diag == diag
+
+    def test_rejects_one_perturbed_diag_entry(self):
+        # the product changes by the outer product of two nonzero rows
+        for config in (standard_six_config(), conic_parameter_points([0, 1, -1, 2, -2, 3])):
+            data = gale_transform(config)
+            for i in range(len(data.diag)):
+                for delta in (1, Fraction(1, 3)):
+                    diag = list(data.diag)
+                    diag[i] += delta
+                    if diag[i] == 0:
+                        continue
+                    with pytest.raises(ValueError):
+                        GaleData(source=data.source, target=data.target, diag=tuple(diag))
+
+    def test_self_associated_method(self):
+        seven = config_of(
+            (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 4, 9), (2, 3, 5)
+        )
+        assert gale_transform(conic_parameter_points([0, 1, -1, 2, -2, 3])).self_associated() is True
+        for config in (standard_six_config(), collinear_target_six_config(), seven):
+            assert gale_transform(config).self_associated() is False
+
     def test_json_shape(self):
         payload = gale_transform(standard_six_config()).to_json()
         assert set(payload) == {"source", "target", "diag"}
