@@ -4,6 +4,13 @@ Points, configurations, subspaces and transforms are immutable values
 stored in a canonical integer form, so equality is syntactic and every
 operation is a pure function. All arithmetic is exact: scalars are
 ``fractions.Fraction`` and matrix routines never round.
+
+Rational rows are cleared to integers row by row (``_clear_row_to_ints``)
+and every basis comes from one fraction-free kernel, ``_extend_basis``:
+the reduced row echelon form, the echelon basis, the kernel, the inverse
+and the point-spanned flats are views of the primitive integer echelon
+basis it builds, and span membership uses the same cross-multiplied row
+operations. ``rank`` counts with Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -59,20 +66,10 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
 
 
 def _canonical_int_vector(coords: Iterable[ScalarLike]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers, leading entry positive.
-
-    All-int input skips the Fractions (``type(c) is int`` keeps bool out,
-    so parse_scalar still rejects it).
-    """
-    values = list(coords)
-    if not values:
+    """Scale a nonzero rational vector to coprime integers, leading entry positive."""
+    ints = _clear_row_to_ints(coords)
+    if not ints:
         raise ValueError("empty coordinate vector")
-    if all(type(c) is int for c in values):
-        ints = values
-    else:
-        fracs = [parse_scalar(c) for c in values]
-        scale = math.lcm(*(c.denominator for c in fracs))
-        ints = [c.numerator * (scale // c.denominator) for c in fracs]
     if not any(ints):
         raise ValueError("zero vector does not define a projective point")
     return _primitive(ints)
@@ -173,24 +170,30 @@ class PointConfiguration:
         )
 
 
-def _clear_row_to_ints(row: Sequence[ScalarLike]) -> list[int]:
-    fracs = [parse_scalar(x) for x in row]
-    scale = math.lcm(*(c.denominator for c in fracs)) if fracs else 1
-    return [int(c * scale) for c in fracs]
+def _clear_row_to_ints(row: Iterable[ScalarLike]) -> list[int]:
+    """The row scaled by the lcm of its denominators, as a fresh integer list.
+
+    All-int rows skip the Fractions (``type(x) is int`` keeps bool out, so
+    parse_scalar still rejects it).
+    """
+    values = list(row)
+    if all(type(x) is int for x in values):
+        return values
+    fracs = [parse_scalar(x) for x in values]
+    scale = math.lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (scale // c.denominator) for c in fracs]
 
 
-def _int_rows(matrix: Sequence[Sequence[ScalarLike]]) -> list[list[int]]:
+def _int_rows(matrix: Iterable[Iterable[ScalarLike]]) -> list[list[int]]:
     """The rows as fresh integer lists, each scaled by its own denominators."""
     m: list[list[int]] = []
     width = None
     for row in matrix:
-        r = list(row)
+        r = _clear_row_to_ints(row)
         if width is None:
             width = len(r)
         elif len(r) != width:
             raise ValueError("ragged matrix")
-        if not all(type(x) is int for x in r):
-            r = _clear_row_to_ints(r)
         m.append(r)
     if not m or not width:
         raise ValueError("matrix must be nonempty")
@@ -229,111 +232,121 @@ def rank(matrix: Sequence[Sequence[ScalarLike]]) -> int:
     return rk
 
 
-def _fraction_rows(matrix: Sequence[Sequence[ScalarLike]]) -> list[list[Fraction]]:
-    rows = [[parse_scalar(x) for x in row] for row in matrix]
-    if not rows or not rows[0]:
-        raise ValueError("matrix must be nonempty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged matrix")
-    return rows
+_Basis = tuple[tuple[int, ...], ...]
+
+
+def _pivot(row: Sequence[int]) -> int:
+    return next(j for j, x in enumerate(row) if x)
+
+
+def _extend_basis(
+    basis: _Basis, pivots: tuple[int, ...], vector: Sequence[int]
+) -> tuple[_Basis, tuple[int, ...]]:
+    """Add a vector to a canonical primitive echelon basis.
+
+    Cross-multiplied row operations keep every entry an integer and each
+    new row is made primitive with a positive pivot, so the result is the
+    row space's RREF scaled row by row: exactly what echelon_basis returns.
+    A vector already in the span leaves the basis as it is.
+    """
+    v = list(vector)
+    for row, p in zip(basis, pivots):
+        f = v[p]
+        if f:
+            b = row[p]
+            v = [b * x - f * y for x, y in zip(v, row)]
+    if not any(v):
+        return basis, pivots
+    new = _primitive(v)
+    q = _pivot(new)
+    lead = new[q]
+    # rows pivoting after q are zero in column q and need no reduction
+    rows = [
+        _primitive([lead * x - row[q] * y for x, y in zip(row, new)]) if row[q] else row
+        for row in basis
+    ]
+    k = bisect(pivots, q)
+    return (
+        tuple(rows[:k]) + (new,) + tuple(rows[k:]),
+        pivots[:k] + (q,) + pivots[k:],
+    )
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[_Basis, tuple[int, ...]]:
+    """Canonical primitive echelon basis of the integer rows' span, with its pivots."""
+    basis, pivots = (), ()
+    for row in rows:
+        basis, pivots = _extend_basis(basis, pivots, row)
+    return basis, pivots
+
+
+def _normals(basis: _Basis, pivots: tuple[int, ...], width: int) -> list[list[int]]:
+    """Integer basis of the orthogonal complement, one vector per free column."""
+    scale = math.lcm(*(row[p] for row, p in zip(basis, pivots)))
+    out = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        normal = [0] * width
+        normal[f] = scale
+        for row, p in zip(basis, pivots):
+            normal[p] = -row[f] * (scale // row[p])
+        out.append(normal)
+    return out
 
 
 def reduced_row_echelon(
     matrix: Sequence[Sequence[ScalarLike]],
 ) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot column indices)."""
-    rows = _fraction_rows(matrix)
-    nrows, width = len(rows), len(rows[0])
-    pivots: list[int] = []
-    rk = 0
-    for col in range(width):
-        piv = None
-        for i in range(rk, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = 1 / rows[rk][col]
-        rows[rk] = [x * inv for x in rows[rk]]
-        for i in range(nrows):
-            if i != rk and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rk])]
-        pivots.append(col)
-        rk += 1
-        if rk == nrows:
-            break
-    return rows[:rk], pivots
+    """Reduced row echelon form over Q; returns (rows, pivot column indices).
+
+    The integer echelon basis is the RREF scaled row by row, so each row is
+    divided by its pivot entry.
+    """
+    basis, pivots = _echelon(_int_rows(matrix))
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(basis, pivots)], list(pivots)
 
 
-def echelon_basis(matrix: Sequence[Sequence[ScalarLike]]) -> tuple[tuple[int, ...], ...]:
-    """Canonical primitive-integer basis of the row space (RREF, then cleared)."""
-    rows, _ = reduced_row_echelon(matrix)
-    return tuple(_canonical_int_vector(row) for row in rows)
+def echelon_basis(matrix: Sequence[Sequence[ScalarLike]]) -> _Basis:
+    """Canonical primitive-integer basis of the row space: the RREF, each row cleared."""
+    return _echelon(_int_rows(matrix))[0]
 
 
 def kernel_basis(matrix: Sequence[Sequence[ScalarLike]]) -> list[tuple[int, ...]]:
     """Canonical primitive-integer basis of the right kernel, one vector per free column.
 
-    The rows, cleared to integers, join an integer echelon basis by
-    fraction-free elimination, and the kernel is read off as its normals:
-    each is a positive multiple of the RREF kernel vector of its column.
+    The kernel is read off the integer echelon basis as its normals: each
+    is a positive multiple of the RREF kernel vector of its column.
     """
     rows = _int_rows(matrix)
-    basis, pivots = (), ()
-    for row in rows:
-        basis, pivots = _extend_basis(basis, pivots, row)
+    basis, pivots = _echelon(rows)
     return [_primitive(n) for n in _normals(basis, pivots, len(rows[0]))]
 
 
 def in_span(basis: Sequence[Sequence[ScalarLike]], vector: Sequence[ScalarLike]) -> bool:
     """Whether vector lies in the row space of an echelon basis."""
-    if all(type(x) is int for x in vector) and all(
-        type(x) is int for row in basis for x in row
-    ):
-        # cross-multiplied elimination: scaling by the nonzero pivot keeps
-        # the zero test exact without leaving the integers
-        vi = list(vector)
-        for row in basis:
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is None or not vi[lead]:
-                continue
-            p, f = row[lead], vi[lead]
-            vi = [a * p - f * b for a, b in zip(vi, row)]
-        return not any(vi)
-    v = [parse_scalar(x) for x in vector]
-    for row in basis:
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        if v[lead]:
-            factor = v[lead] / parse_scalar(row[lead])
-            v = [a - factor * parse_scalar(b) for a, b in zip(v, row)]
-    return not any(v)
+    rows = tuple(row for row in map(_clear_row_to_ints, basis) if any(row))
+    pivots = tuple(map(_pivot, rows))
+    # _extend_basis leaves the pivots as they are exactly for a vector in the span
+    return _extend_basis(rows, pivots, _clear_row_to_ints(vector))[1] == pivots
 
 
 def invert(matrix: Sequence[Sequence[ScalarLike]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix; ValueError if singular."""
-    rows = _fraction_rows(matrix)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    """Exact inverse of a square rational matrix; ValueError if singular.
+
+    The augmented rows [M | I] are cleared as a whole, so their echelon
+    basis is [c_i e_i | c_i (row i of M^-1)] with c_i its pivot entry.
+    """
+    n = len(matrix)
+    aug = _int_rows(
+        [*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)
+    )
+    if len(aug[0]) != 2 * n:
         raise ValueError("matrix is not square")
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    basis, pivots = _echelon(aug)
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(basis)]
 
 
 def mat_mul(
@@ -449,61 +462,6 @@ class SpannedSubspace:
         return len(self.basis)
 
 
-_Basis = tuple[tuple[int, ...], ...]
-
-
-def _pivot(row: Sequence[int]) -> int:
-    return next(j for j, x in enumerate(row) if x)
-
-
-def _extend_basis(
-    basis: _Basis, pivots: tuple[int, ...], vector: Sequence[int]
-) -> tuple[_Basis, tuple[int, ...]]:
-    """Add a vector to a canonical primitive echelon basis.
-
-    Cross-multiplied row operations keep every entry an integer and each
-    new row is made primitive with a positive pivot, so the result is the
-    row space's RREF scaled row by row: exactly what echelon_basis returns.
-    A vector already in the span leaves the basis as it is.
-    """
-    v = list(vector)
-    for row, p in zip(basis, pivots):
-        f = v[p]
-        if f:
-            b = row[p]
-            v = [b * x - f * y for x, y in zip(v, row)]
-    if not any(v):
-        return basis, pivots
-    new = _primitive(v)
-    q = _pivot(new)
-    lead = new[q]
-    # rows pivoting after q are zero in column q and need no reduction
-    rows = [
-        _primitive([lead * x - row[q] * y for x, y in zip(row, new)]) if row[q] else row
-        for row in basis
-    ]
-    k = bisect(pivots, q)
-    return (
-        tuple(rows[:k]) + (new,) + tuple(rows[k:]),
-        pivots[:k] + (q,) + pivots[k:],
-    )
-
-
-def _normals(basis: _Basis, pivots: tuple[int, ...], width: int) -> list[list[int]]:
-    """Integer basis of the orthogonal complement, one vector per free column."""
-    scale = math.lcm(*(row[p] for row, p in zip(basis, pivots)))
-    out = []
-    for f in range(width):
-        if f in pivots:
-            continue
-        normal = [0] * width
-        normal[f] = scale
-        for row, p in zip(basis, pivots):
-            normal[p] = -row[f] * (scale // row[p])
-        out.append(normal)
-    return out
-
-
 def point_spanned_subspaces(config: PointConfiguration) -> list[SpannedSubspace]:
     """All proper subspaces spanned by nonempty subsets of the points.
 
@@ -579,7 +537,7 @@ def _frame_transform(config: PointConfiguration) -> list[list[Fraction]]:
     """Matrix sending the first r+1 points to e_1, ..., e_r, (1, ..., 1)."""
     r = config.ambient_rank
     pts = config.points
-    m = [[Fraction(pts[j].coords[i]) for j in range(r)] for i in range(r)]
+    m = [[pts[j].coords[i] for j in range(r)] for i in range(r)]
     minv = invert(m)
     c = mat_vec(minv, pts[r].coords)
     if any(x == 0 for x in c):

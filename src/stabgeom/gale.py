@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import DegenerateConfigurationError, RowEliminationError
@@ -21,6 +21,7 @@ from .exactgeom import (
     PointConfiguration,
     ProjectivePoint,
     ProjectiveTransform,
+    _clear_row_to_ints,
     kernel_basis,
     projectively_equivalent,
     rank,
@@ -57,8 +58,7 @@ class GaleData:
         if any(x == 0 for x in d):
             raise ValueError("diag entries must be nonzero")
         # D times the lcm of its denominators is integral with the same zero product
-        scale = lcm(*(x.denominator for x in d))
-        d_int = [x.numerator * (scale // x.denominator) for x in d]
+        d_int = _clear_row_to_ints(d)
         g_cols = list(zip(*source.rows()))
         for gp_col in zip(*target.rows()):
             weighted = list(map(mul, d_int, gp_col))

@@ -523,8 +523,9 @@ class IncidenceStructure:
 def incidence_15_3() -> IncidenceStructure:
     """The 15_3 incidence: edges of K6 against perfect matchings, by membership.
 
-    Checked to coincide with the geometric incidence of the 15
-    distinguished points on the 15 singular lines.
+    ``verify.check_igusa`` re-derives it independently: the degree of every
+    point and line, and the geometric incidence of the 15 distinguished
+    points on the 15 singular lines.
     """
     pairs = tuple(combinations(range(NVARS), 2))
     matchings = tuple(perfect_matchings())
@@ -534,23 +535,7 @@ def incidence_15_3() -> IncidenceStructure:
         for matching in matchings
         if pair in matching
     )
-    structure = IncidenceStructure(points=pairs, lines=matchings, flags=flags)
-    for pair in pairs:
-        if len(structure.lines_through(pair)) != 3:
-            raise RuntimeError(f"pair {pair} does not lie on exactly 3 matchings")
-    for matching in matchings:
-        if len(structure.points_on(matching)) != 3:
-            raise RuntimeError(f"matching {matching} does not contain exactly 3 pairs")
-    lines = igusa_lines()
-    geometric = frozenset(
-        (ip.pair, line.matching)
-        for ip in igusa_points()
-        for line in lines
-        if line.contains(ip.point)
-    )
-    if geometric != flags:
-        raise RuntimeError("geometric incidence differs from matching membership")
-    return structure
+    return IncidenceStructure(points=pairs, lines=matchings, flags=flags)
 
 
 def polar_map(model: SymmetricHypersurfaceModel, point: AmbientPoint) -> AmbientPoint:

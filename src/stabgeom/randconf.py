@@ -7,12 +7,13 @@ so the checks and the test suite are reproducible byte for byte.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
+from .errors import FrameDegenerateError
 from .exactgeom import (
     PointConfiguration,
     ProjectivePoint,
     ProjectiveTransform,
+    _check_frame_general_position,
     rank,
 )
 
@@ -65,16 +66,6 @@ def random_transform(rng: random.Random, n: int, bound: int = 5) -> ProjectiveTr
             return ProjectiveTransform(m)
 
 
-def _frame_general_position(rows: list[tuple[int, ...]], ambient_rank: int) -> bool:
-    head = rows[: ambient_rank + 2]
-    if len(head) < ambient_rank + 2:
-        return False
-    return all(
-        rank(list(sub)) == ambient_rank
-        for sub in combinations(head, ambient_rank)
-    )
-
-
 def random_frame_configuration(
     rng: random.Random, ambient_rank: int, count: int, bound: int = 9
 ) -> PointConfiguration:
@@ -87,8 +78,11 @@ def random_frame_configuration(
             for _ in range(count)
         ]
         config = PointConfiguration(ambient_rank, points)
-        if _frame_general_position(config.rows(), ambient_rank):
-            return config
+        try:
+            _check_frame_general_position(config)
+        except FrameDegenerateError:
+            continue
+        return config
 
 
 def random_conic_parameters(rng: random.Random, count: int = 6) -> list[int]:

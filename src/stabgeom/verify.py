@@ -306,6 +306,8 @@ def check_gale(involutions: int = 100, assoc_cases: int = 10, seed: int = 0) -> 
 
 def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> CheckResult:
     """The ten nodes, their type, the split bijection, and a random search for strays."""
+    if search_points < 0:
+        raise ValueError("samples must be nonnegative")
     start = time.perf_counter()
     model = segre_cubic()
     failures: list[str] = []

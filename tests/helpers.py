@@ -1,7 +1,8 @@
 """Shared test utilities, independent of the package internals.
 
-The rank oracle here is deliberately the textbook Fraction-based Gaussian
-elimination so it shares no code path with the Bareiss routine under test.
+The linear-algebra oracle here is deliberately the textbook Fraction-based
+Gauss-Jordan elimination, so it shares no code path with the integer
+echelon kernel or the Bareiss routine under test.
 """
 
 from fractions import Fraction
@@ -9,13 +10,15 @@ from fractions import Fraction
 from stabgeom import PointConfiguration
 
 
-def gauss_rank(matrix) -> int:
+def rref(matrix):
+    """Reduced row echelon form over Q: (nonzero rows, pivot column indices)."""
     rows = [[Fraction(x) for x in row] for row in matrix]
     if not rows:
-        return 0
+        return [], []
     width = len(rows[0])
-    rk = 0
+    pivots = []
     for col in range(width):
+        rk = len(pivots)
         piv = next((i for i in range(rk, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
             continue
@@ -26,8 +29,12 @@ def gauss_rank(matrix) -> int:
             if i != rk and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
-        rk += 1
-    return rk
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def gauss_rank(matrix) -> int:
+    return len(rref(matrix)[1])
 
 
 def config_of(*rows) -> PointConfiguration:

@@ -142,6 +142,24 @@ class TestSingleGaleTransform:
         assert len(calls) == 1
 
 
+class TestParserBuiltOnce:
+    def test_main_builds_no_parser(self, cli, monkeypatch):
+        import stabgeom.cli
+
+        calls = []
+        original = stabgeom.cli._build_parser
+
+        def counted():
+            calls.append(None)
+            return original()
+
+        monkeypatch.setattr(stabgeom.cli, "_build_parser", counted)
+        for argv in (["critical-values", "-r", "2", "-d", "4", "-k", "2"], ["incidence"]):
+            code, _, _ = cli(argv)
+            assert code == 0
+        assert calls == []
+
+
 class TestCriticalValues:
     def test_reference_example_bytes(self, cli):
         code, out, _ = cli(["critical-values", "-r", "2", "-d", "4", "-k", "2"])
@@ -372,6 +390,20 @@ class TestHypersurface:
         data = payload(out)
         assert data["passed"] is True
         assert data["name"] == "segre-nodes"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hypersurface", "verify", "segre"], "samples must be nonnegative"),
+            (["hypersurface", "verify", "duality"], "count must be nonnegative"),
+            (["verify-all"], "samples must be nonnegative"),
+        ],
+    )
+    def test_negative_samples_exit_two(self, cli, argv, message):
+        code, out, err = cli(argv + ["--samples", "-1"])
+        assert code == 2
+        assert out == ""
+        assert payload(err) == {"error": {"type": "ValueError", "message": message}}
 
     def test_igusa(self, cli):
         code, out, _ = cli(["hypersurface", "verify", "igusa"])

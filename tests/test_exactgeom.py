@@ -30,7 +30,7 @@ from stabgeom.exactgeom import (
     reduced_row_echelon,
 )
 
-from helpers import config_of, gauss_rank
+from helpers import config_of, gauss_rank, rref
 
 entries = st.integers(min_value=-30, max_value=30)
 small = st.integers(min_value=-3, max_value=3)
@@ -62,8 +62,8 @@ def kernel_matrices(draw):
 
 
 def rref_kernel(m):
-    """The kernel read off the Fraction RREF, one vector per free column."""
-    rows, pivots = reduced_row_echelon(m)
+    """The kernel read off the reference Fraction RREF, one vector per free column."""
+    rows, pivots = rref(m)
     width = len(m[0])
     out = []
     for f in range(width):
@@ -75,6 +75,20 @@ def rref_kernel(m):
             vec[p] = -rows[i][f]
         out.append(_canonical_int_vector(vec))
     return out
+
+
+def rref_basis(m):
+    """The reference Fraction RREF, each row cleared to primitive integers."""
+    return tuple(_canonical_int_vector(row) for row in rref(m)[0])
+
+
+def rref_inverse(m):
+    """The right half of the reference RREF of [M | I]; None when M is singular."""
+    n = len(m)
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in rows]
 
 
 class TestScalars:
@@ -233,6 +247,39 @@ class TestEchelonAndKernel:
     def test_kernel_equals_the_rref_reference(self, m):
         assert kernel_basis(m) == rref_kernel(m)
 
+    @given(kernel_matrices(), st.data())
+    @settings(max_examples=200)
+    @example([[1, 0], [0, 1]], None)
+    @example([[2, "1/3"], [Fraction(-1, 2), 5]], None)
+    @example([["1/2", 0, 0], [0, 3, 0], [0, 0, Fraction(-2, 7)]], None)
+    @example([[1, 2], [2, 4]], None)
+    @example([[0]], None)
+    @example([[1, 2, 3], [4, 5, 6]], None)
+    @example([[1], [2]], None)
+    def test_echelon_views_equal_the_rref_reference(self, m, data):
+        rows, pivots = rref(m)
+        assert reduced_row_echelon(m) == (rows, pivots)
+        basis = echelon_basis(m)
+        assert basis == rref_basis(m)
+        width = len(m[0])
+        vectors = list(m)
+        if data is not None:
+            vectors.append(data.draw(st.lists(rationals, min_size=width, max_size=width)))
+        for v in vectors:
+            expected = gauss_rank(rows + [v]) == len(rows)
+            assert in_span(basis, v) == expected
+            assert in_span(rows, v) == expected
+        if len(m) != width:
+            with pytest.raises(ValueError, match="^matrix is not square$"):
+                invert(m)
+            return
+        expected = rref_inverse(m)
+        if expected is None:
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                invert(m)
+        else:
+            assert invert(m) == expected
+
     def test_kernel_of_full_column_rank_is_empty(self):
         assert kernel_basis([[1, 2], [3, 4], [5, 6]]) == []
         assert kernel_basis([["1/2"]]) == []
@@ -360,7 +407,7 @@ class TestPointSpannedSubspaces:
         assert len(subs) == len({s.members for s in subs})
         assert subs == sorted(subs, key=lambda s: (s.dim, s.members))
         for sub in subs:
-            assert sub.basis == echelon_basis([rows[i] for i in sub.members])
+            assert sub.basis == rref_basis([rows[i] for i in sub.members])
 
 
 class TestProjectiveEquivalence:
