@@ -31,6 +31,7 @@ from .errors import (
     SizeMismatchError,
     StabgeomError,
     SubsetTooLargeError,
+    UsageError,
 )
 from .exactgeom import (
     LinearSubspace,

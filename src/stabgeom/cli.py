@@ -24,7 +24,7 @@ from .cohsys import (
     equivalence_check,
     subsystem_types_from_config,
 )
-from .errors import FrameDegenerateError, SchemaError
+from .errors import FrameDegenerateError, SchemaError, UsageError
 from .exactgeom import PointConfiguration, format_scalar, parse_scalar
 from .gale import gale_transform
 from .gitstab import classify
@@ -174,8 +174,15 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, subcommands included, whose errors raise UsageError."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stab",
         description="Exact stability, Gale, and hypersurface computations "
         "for point configurations.",
@@ -253,8 +260,8 @@ _PARSER = _build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         # StabgeomError and json.JSONDecodeError are both ValueErrors

@@ -9,6 +9,10 @@ class StabgeomError(ValueError):
     """Base class for all input-domain errors raised by this package."""
 
 
+class UsageError(StabgeomError):
+    """The command line does not match the CLI's arguments."""
+
+
 class SchemaError(StabgeomError):
     """A JSON document does not match the configuration schema."""
 

@@ -8,9 +8,9 @@ operation is a pure function. All arithmetic is exact: scalars are
 Rational rows are cleared to integers row by row (``_clear_row_to_ints``)
 and every basis comes from one fraction-free kernel, ``_extend_basis``:
 the reduced row echelon form, the echelon basis, the kernel, the inverse
-and the point-spanned flats are views of the primitive integer echelon
-basis it builds, and span membership uses the same cross-multiplied row
-operations. ``rank`` counts with Bareiss elimination.
+and the flats' bases are views of the primitive integer echelon basis it
+builds; span membership and images in a quotient by a flat use the same
+cross-multiplied row operations. ``rank`` counts with Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import FrameDegenerateError, SchemaError
@@ -466,16 +465,17 @@ def point_spanned_subspaces(config: PointConfiguration) -> list[SpannedSubspace]
     """All proper subspaces spanned by nonempty subsets of the points.
 
     In matroid terms these are the flats of rank 1 to ambient_rank - 1:
-    point sets closed under linear span. They are built rank by rank.
-    Repeated points are collapsed first, and each distinct point is a
-    rank-1 flat. Each rank-k flat is extended by every point outside it
-    that no earlier extension of the same flat already covers: the point
-    joins the flat's integer echelon basis by fraction-free elimination,
-    the new basis is looked up among the rank-(k+1) flats found so far, and
-    only a new one has its closure taken, by dot products with integer
-    normal vectors (a single one for a hyperplane). The cost is about
-    (flats) x (distinct points) integer row operations, not a rational row
-    reduction for each of the C(n, <= ambient_rank - 1) subsets.
+    point sets closed under linear span. They are built rank by rank from
+    the zero subspace, with repeated points collapsed. Each flat F keeps
+    the image in V/F of every distinct point outside it: the point reduced
+    by F's echelon basis, on F's non-pivot columns, made primitive. The
+    flats one rank above F are the classes of equal images, each holding
+    F's members plus its class; a flat reached twice is kept once, keyed by
+    its members. A new flat's basis extends its parent's by one point of
+    its class, and below the last rank its images come from its parent's
+    by one small elimination per outside point. The cost is one such
+    elimination per (new flat, outside point) plus one dict lookup per
+    incidence, not a row reduction for each of the C(n, <= r - 1) subsets.
 
     ``basis`` is the canonical echelon basis, equal to ``echelon_basis`` of
     the member rows; ``members`` lists every point index lying in the
@@ -488,37 +488,36 @@ def point_spanned_subspaces(config: PointConfiguration) -> list[SpannedSubspace]
     for i, row in enumerate(config.rows()):
         indices.setdefault(row, []).append(i)
     points = list(indices)
-    level = {(p,): ((_pivot(p),), frozenset((d,))) for d, p in enumerate(points)}
-    found = []
+    # the zero subspace, in whose quotient every point is its own image
+    level = [((), (), frozenset(), dict(enumerate(points)))]
+    out = []
     for dim in range(1, r):
-        found += level.items()
-        if dim == r - 1:
-            break
-        above: dict[_Basis, tuple[tuple[int, ...], frozenset[int]]] = {}
-        for basis, (pivots, members) in level.items():
-            covered = set(members)
-            for d, p in enumerate(points):
-                if d in covered:
+        above: dict[frozenset[int], tuple] = {}
+        while level:  # popping frees each flat's images once its children are built
+            basis, pivots, members, images = level.pop()
+            classes: dict[tuple[int, ...], list[int]] = {}
+            for d, image in images.items():
+                classes.setdefault(image, []).append(d)
+            for u, new in classes.items():
+                closure = members.union(new)
+                if closure in above:
                     continue
-                key, key_pivots = _extend_basis(basis, pivots, p)
-                flat = above.get(key)
-                if flat is None:
-                    # two extensions of a flat share only its points, so covered ones stay out
-                    normals = _normals(key, key_pivots, r)
-                    closure = members.union(
-                        e for e, q in enumerate(points)
-                        if e not in covered and not any(sum(map(mul, n, q)) for n in normals)
-                    )
-                    flat = above[key] = (key_pivots, closure)
-                covered |= flat[1]
-        level = above
-    out = [
-        SpannedSubspace(
-            basis=basis,
-            members=tuple(sorted(i for d in members for i in indices[points[d]])),
+                # images in V/(F + u): clear u's pivot column, then drop it
+                child: dict[int, tuple[int, ...]] = {}
+                if dim < r - 1:
+                    q = _pivot(u)
+                    for d, w in images.items():
+                        if d not in closure:
+                            f = w[q]
+                            if f:
+                                w = _primitive([u[q] * x - f * y for x, y in zip(w, u)])
+                            child[d] = w[:q] + w[q + 1:]
+                above[closure] = (*_extend_basis(basis, pivots, points[new[0]]), closure, child)
+        level = list(above.values())
+        out += (
+            SpannedSubspace(basis, tuple(sorted(i for d in members for i in indices[points[d]])))
+            for basis, _, members, _ in level
         )
-        for basis, (_, members) in found
-    ]
     out.sort(key=lambda sub: (sub.dim, sub.members))
     return out
 

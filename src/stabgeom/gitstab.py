@@ -121,17 +121,16 @@ def _verdict(best: _Candidate | None, g: Fraction) -> StabilityVerdict:
 def _best_point_spanned(
     subspaces: Iterable[SpannedSubspace], g: Fraction
 ) -> _Candidate | None:
-    best: _Candidate | None = None
-    for sub in subspaces:
-        cand = _Candidate(
-            margin=len(sub.members) - g * sub.dim,
-            size=len(sub.members),
-            indices=sub.members,
-            span=sub.dim,
-        )
-        if best is None or _prefer(cand, best):
-            best = cand
-    return best
+    """The subspace _prefer ranks first, compared in integers as q*k - p*s for g = p/q."""
+    p, q = g.numerator, g.denominator
+    best = min(
+        subspaces,
+        key=lambda sub: (p * sub.dim - q * len(sub.members), len(sub.members), sub.members),
+        default=None,
+    )
+    if best is None:
+        return None
+    return _Candidate(len(best.members) - g * best.dim, len(best.members), best.members, best.dim)
 
 
 def classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:

@@ -658,6 +658,8 @@ def duality_check(samples: int, seed: int = 0) -> DualityReport:
     nonsingular there) satisfies the cubic. Failures are reported, not
     raised.
     """
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     segre = segre_cubic()
     igusa = igusa_quartic()
     points = sample_segre_points(samples, seed)

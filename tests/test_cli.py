@@ -395,7 +395,7 @@ class TestHypersurface:
         "argv, message",
         [
             (["hypersurface", "verify", "segre"], "samples must be nonnegative"),
-            (["hypersurface", "verify", "duality"], "count must be nonnegative"),
+            (["hypersurface", "verify", "duality"], "samples must be nonnegative"),
             (["verify-all"], "samples must be nonnegative"),
         ],
     )
@@ -515,12 +515,33 @@ class TestErrorPaths:
         assert payload(err)["error"]["type"] == "SchemaError"
 
     def test_unknown_flag_and_command_exit_two(self, cli):
+        for argv in (["critical-values", "-r", "2", "-d", "4", "-k", "2", "--bogus"], ["no-such-command"]):
+            code, out, err = cli(argv)
+            assert code == 2
+            assert out == ""
+            assert payload(err)["error"]["type"] == "UsageError"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["git-classify", "--input", "x.json"], "the following arguments are required: --g"),
+            (["hypersurface", "verify", "cubic"], "argument target: invalid choice: 'cubic'"),
+            (["critical-values", "-r", "two", "-d", "4", "-k", "2"], "argument -r: invalid int value: 'two'"),
+        ],
+    )
+    def test_usage_errors_are_typed_json(self, cli, argv, message):
+        code, out, err = cli(argv)
+        assert code == 2
+        assert out == ""
+        error = payload(err)["error"]
+        assert error["type"] == "UsageError"
+        assert error["message"].startswith(message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gale", "--help"]])
+    def test_help_still_exits_zero(self, cli, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["critical-values", "-r", "2", "-d", "4", "-k", "2", "--bogus"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["no-such-command"])
-        assert exc.value.code == 2
+            main(argv)
+        assert exc.value.code == 0
 
 
 class TestModuleEntryPoint:

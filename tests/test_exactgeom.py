@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical forms, rank, spans, kernels, transforms."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from stabgeom import (
     span_dim,
 )
 from stabgeom.exactgeom import (
+    SpannedSubspace,
     _canonical_int_vector,
     echelon_basis,
     in_span,
@@ -394,6 +396,16 @@ def reference_flats(config):
     }
 
 
+def assert_flats_match_reference(config):
+    subs = point_spanned_subspaces(config)
+    rows = config.rows()
+    assert {(s.members, s.dim) for s in subs} == reference_flats(config)
+    assert len(subs) == len({s.members for s in subs})
+    assert subs == sorted(subs, key=lambda s: (s.dim, s.members))
+    for sub in subs:
+        assert sub.basis == rref_basis([rows[i] for i in sub.members])
+
+
 class TestPointSpannedSubspaces:
     @settings(max_examples=150, deadline=None)
     @given(degenerate_configurations())
@@ -401,13 +413,38 @@ class TestPointSpannedSubspaces:
     @example(config_of(*[(1, 2, 0, -1)] * 7))
     @example(config_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1)))
     def test_flats_match_independent_rank_reference(self, config):
-        subs = point_spanned_subspaces(config)
-        rows = config.rows()
-        assert {(s.members, s.dim) for s in subs} == reference_flats(config)
-        assert len(subs) == len({s.members for s in subs})
-        assert subs == sorted(subs, key=lambda s: (s.dim, s.members))
-        for sub in subs:
-            assert sub.basis == rref_basis([rows[i] for i in sub.members])
+        assert_flats_match_reference(config)
+
+    def test_rank_six_matches_the_reference_on_seeded_draws(self):
+        # rank 6 is past the hypothesis test's range; its own rng stream
+        rng = random.Random(606)
+        for _ in range(10):
+            n = rng.randint(6, 10)
+            rows = []
+            for _ in range(n):
+                kind = rng.choice(("random", "repeat", "collinear"))
+                if kind == "repeat" and rows:
+                    row = rng.choice(rows)
+                elif kind == "collinear" and len(rows) >= 2:
+                    a, b = rng.sample(rows, 2)
+                    s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                    row = [s * x + t * y for x, y in zip(a, b)]
+                else:
+                    row = [rng.randint(-3, 3) for _ in range(6)]
+                rows.append(row if any(row) else [0] * 5 + [1])
+            assert_flats_match_reference(config_of(*rows))
+
+    def test_rank_one_has_no_proper_subspace(self):
+        assert point_spanned_subspaces(config_of((1,), (-2,), (1,))) == []
+
+    def test_rank_two_flats_are_the_distinct_points(self):
+        config = config_of((1, 0), (2, 0), (0, 1), (1, 1), (0, -3), (-1, -1), (2, -1))
+        assert point_spanned_subspaces(config) == [
+            SpannedSubspace(basis=((1, 0),), members=(0, 1)),
+            SpannedSubspace(basis=((0, 1),), members=(2, 4)),
+            SpannedSubspace(basis=((1, 1),), members=(3, 5)),
+            SpannedSubspace(basis=((2, -1),), members=(6,)),
+        ]
 
 
 class TestProjectiveEquivalence:

@@ -99,6 +99,36 @@ class TestWitnessContract:
         oracle = oracle_classify(config, 2)
         assert oracle.witness.indices == (0, 1)
 
+    @pytest.mark.parametrize(
+        "rows, g",
+        [
+            # five points spanning a plane of P^3 (margin 5 - 3g) against a
+            # double point off it (margin 2 - g)
+            (
+                [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0), (1, 2, 3, 0),
+                 (1, 1, 1, 1), (1, 1, 1, 1)],
+                Fraction(3, 2),
+            ),
+            # seven points spanning a hyperplane of P^4 (margin 7 - 4g)
+            (
+                [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+                 (1, 1, 1, 1, 0), (1, 2, 3, 4, 0), (1, 4, 9, 16, 0),
+                 (1, 1, 2, 3, 5), (1, 1, 2, 3, 5)],
+                Fraction(5, 3),
+            ),
+        ],
+    )
+    def test_tie_across_dimensions_at_fractional_weight(self, rows, g):
+        # the lex-smaller span loses the tie to the smaller double point
+        config = config_of(*rows)
+        n = len(rows)
+        verdict = classify(config, g)
+        assert verdict.classification is StabilityClass.UNSTABLE
+        assert verdict.witness.indices == (n - 2, n - 1)
+        assert verdict.witness.span_dim == 1
+        assert verdict.margin == 2 - g
+        assert oracle_classify(config, g) == verdict
+
     def test_worst_subspace_margin_matches_witness(self):
         config = triple_point_config()
         subspace, margin = worst_subspace(config, 2)
