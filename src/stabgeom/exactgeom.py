@@ -8,9 +8,9 @@ operation is a pure function. All arithmetic is exact: scalars are
 Rational rows are cleared to integers row by row (``_clear_row_to_ints``)
 and every basis comes from one fraction-free kernel, ``_extend_basis``:
 the reduced row echelon form, the echelon basis, the kernel, the inverse
-and the flats' bases are views of the primitive integer echelon basis it
-builds; span membership and images in a quotient by a flat use the same
-cross-multiplied row operations. ``rank`` counts with Bareiss elimination.
+and a flat's basis, derived when read, are views of the primitive integer
+echelon basis it builds; span membership and images in a quotient by a
+flat use the same cross-multiplied row operations. ``rank`` is Bareiss.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence, Union
@@ -201,11 +201,13 @@ def _int_rows(matrix: Iterable[Iterable[ScalarLike]]) -> list[list[int]]:
 
 def rank(matrix: Sequence[Sequence[ScalarLike]]) -> int:
     """Exact rank of a rational matrix via fraction-free (Bareiss) elimination."""
-    m = _int_rows(matrix)
-    width = len(m[0])
-    nrows = len(m)
-    rk = 0
-    prev = 1
+    return _rank_ints(_int_rows(matrix))
+
+
+def _rank_ints(m: list[list[int]]) -> int:
+    """Bareiss rank of fresh, nonempty, rectangular int rows, which it overwrites."""
+    width, nrows = len(m[0]), len(m)
+    rk, prev = 0, 1
     for col in range(width):
         piv = None
         for i in range(rk, nrows):
@@ -446,19 +448,20 @@ def span_dim(config: PointConfiguration, subset: Iterable[int]) -> int:
     for i in indices:
         if not 0 <= i < n:
             raise IndexError(f"point index {i} out of range")
-    return rank([config.points[i].coords for i in indices])
+    return _rank_ints([list(config.points[i].coords) for i in indices])
 
 
 @dataclass(frozen=True)
 class SpannedSubspace:
-    """A proper subspace spanned by configuration points, with its closure."""
+    """A proper subspace spanned by configuration points; ``basis`` is derived when read."""
 
-    basis: tuple[tuple[int, ...], ...]
+    dim: int
     members: tuple[int, ...]
+    rows: Sequence[tuple[int, ...]] = field(compare=False, repr=False)
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> _Basis:
+        return _echelon(self.rows[i] for i in self.members)[0]
 
 
 def point_spanned_subspaces(config: PointConfiguration) -> list[SpannedSubspace]:
@@ -467,34 +470,34 @@ def point_spanned_subspaces(config: PointConfiguration) -> list[SpannedSubspace]
     In matroid terms these are the flats of rank 1 to ambient_rank - 1:
     point sets closed under linear span. They are built rank by rank from
     the zero subspace, with repeated points collapsed. Each flat F keeps
-    the image in V/F of every distinct point outside it: the point reduced
-    by F's echelon basis, on F's non-pivot columns, made primitive. The
-    flats one rank above F are the classes of equal images, each holding
-    F's members plus its class; a flat reached twice is kept once, keyed by
-    its members. A new flat's basis extends its parent's by one point of
-    its class, and below the last rank its images come from its parent's
-    by one small elimination per outside point. The cost is one such
-    elimination per (new flat, outside point) plus one dict lookup per
-    incidence, not a row reduction for each of the C(n, <= r - 1) subsets.
+    the image in V/F of every distinct point outside it, a primitive
+    integer vector of length r - dim F. The flats one rank above F are the
+    classes of equal images, each holding F's members plus its class; a
+    flat reached twice is kept once, keyed by its members. Below the last
+    rank a new flat's images come from its parent's by one small
+    elimination per outside point. The cost is one such elimination per
+    (new flat, outside point) plus one dict lookup per incidence, not a
+    row reduction for each of the C(n, <= r - 1) subsets.
 
-    ``basis`` is the canonical echelon basis, equal to ``echelon_basis`` of
-    the member rows; ``members`` lists every point index lying in the
-    subspace, ascending. The list is ordered by dimension, then by
-    ``members``. Ambient rank 1 has no proper subspace and gives [].
+    ``members`` lists every point index lying in the subspace, ascending.
+    No basis is built here: ``basis`` is derived from the member rows when
+    read. The list is ordered by dimension, then by ``members``. Ambient
+    rank 1 has no proper subspace and gives [].
     """
     r = config.ambient_rank
+    rows = config.rows()
     # canonical coordinates make equal rows the same point
     indices: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(config.rows()):
+    for i, row in enumerate(rows):
         indices.setdefault(row, []).append(i)
-    points = list(indices)
+    groups = list(indices.values())
     # the zero subspace, in whose quotient every point is its own image
-    level = [((), (), frozenset(), dict(enumerate(points)))]
+    level = [(frozenset(), dict(enumerate(indices)))]
     out = []
     for dim in range(1, r):
-        above: dict[frozenset[int], tuple] = {}
+        above: dict[frozenset[int], dict[int, tuple[int, ...]]] = {}
         while level:  # popping frees each flat's images once its children are built
-            basis, pivots, members, images = level.pop()
+            members, images = level.pop()
             classes: dict[tuple[int, ...], list[int]] = {}
             for d, image in images.items():
                 classes.setdefault(image, []).append(d)
@@ -512,11 +515,11 @@ def point_spanned_subspaces(config: PointConfiguration) -> list[SpannedSubspace]
                             if f:
                                 w = _primitive([u[q] * x - f * y for x, y in zip(w, u)])
                             child[d] = w[:q] + w[q + 1:]
-                above[closure] = (*_extend_basis(basis, pivots, points[new[0]]), closure, child)
-        level = list(above.values())
+                above[closure] = child
+        level = list(above.items())
         out += (
-            SpannedSubspace(basis, tuple(sorted(i for d in members for i in indices[points[d]])))
-            for basis, _, members, _ in level
+            SpannedSubspace(dim, tuple(sorted(i for d in members for i in groups[d])), rows)
+            for members in above
         )
     out.sort(key=lambda sub: (sub.dim, sub.members))
     return out
@@ -526,10 +529,8 @@ def _check_frame_general_position(config: PointConfiguration) -> None:
     r = config.ambient_rank
     frame_rows = config.rows()[: r + 2]
     for combo in combinations(range(len(frame_rows)), r):
-        if rank([frame_rows[i] for i in combo]) != r:
-            raise FrameDegenerateError(
-                f"frame points {combo} are linearly dependent"
-            )
+        if _rank_ints([list(frame_rows[i]) for i in combo]) != r:
+            raise FrameDegenerateError(f"frame points {combo} are linearly dependent")
 
 
 def _frame_transform(config: PointConfiguration) -> list[list[Fraction]]:

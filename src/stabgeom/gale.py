@@ -86,7 +86,7 @@ class GaleData:
 
 
 def gale_transform(config: PointConfiguration) -> GaleData:
-    """Gale transform of a spanning configuration with gamma >= r + 3 points.
+    """Gale transform of gamma >= r + 3 points spanning P^r, r = ambient_rank - 1.
 
     The target coordinate matrix is a kernel basis of G^T arranged as
     columns. A zero row means the other gamma - 1 points lie on a
@@ -96,9 +96,7 @@ def gale_transform(config: PointConfiguration) -> GaleData:
     gamma = len(config)
     big_r = config.ambient_rank
     if gamma < big_r + 2:
-        raise ValueError(
-            f"need at least r + 3 = {big_r + 2} points, got {gamma}"
-        )
+        raise ValueError(f"need at least ambient_rank + 2 = {big_r + 2} points, got {gamma}")
     g_rows = config.rows()
     if rank(g_rows) < big_r:
         raise DegenerateConfigurationError(

@@ -26,8 +26,8 @@ from .exactgeom import (
     PointConfiguration,
     ScalarLike,
     SpannedSubspace,
+    _rank_ints,
     point_spanned_subspaces,
-    rank,
 )
 
 DEFAULT_ORACLE_CAP = 12
@@ -187,7 +187,7 @@ def oracle_classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdi
     best: _Candidate | None = None
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
-            s = rank([rows[i] for i in combo])
+            s = _rank_ints([list(rows[i]) for i in combo])
             if s >= r:
                 continue
             cand = _Candidate(

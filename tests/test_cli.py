@@ -116,6 +116,30 @@ class TestSingleEnumeration:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["git-classify", "--g", "2"],
+            ["equivalence", "--g", "2"],
+            ["alpha-check", "--g", "2", "--alpha", "1"],
+        ],
+    )
+    def test_no_flat_basis_is_built(self, cli, config_file, monkeypatch, argv):
+        # the commands read only the flats' dimensions and members
+        import stabgeom.exactgeom
+
+        calls = []
+        original = stabgeom.exactgeom._extend_basis
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(stabgeom.exactgeom, "_extend_basis", counted)
+        code, _, _ = cli(argv + ["--input", config_file(TRIPLE_ROWS)])
+        assert code == 0
+        assert calls == []
+
 
 class TestSingleGaleTransform:
     @pytest.mark.parametrize(
@@ -325,6 +349,15 @@ class TestGale:
         code, _, err = cli(["gale", "--input", path])
         assert code == 2
         assert payload(err)["error"]["type"] == "DegenerateConfigurationError"
+
+    def test_too_few_points_names_the_ambient_rank(self, cli, config_file):
+        path = config_file([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        code, out, err = cli(["gale", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert payload(err)["error"]["message"] == (
+            "need at least ambient_rank + 2 = 5 points, got 3"
+        )
 
 
 def _seeded_rows(r, n):

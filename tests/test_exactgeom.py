@@ -22,6 +22,7 @@ from stabgeom import (
 from stabgeom.exactgeom import (
     SpannedSubspace,
     _canonical_int_vector,
+    _rank_ints,
     echelon_basis,
     in_span,
     invert,
@@ -44,6 +45,15 @@ def matrices(min_side=1, max_side=5):
             st.lists(entries, min_size=w, max_size=w), min_size=1, max_size=6
         )
     )
+
+
+@st.composite
+def int_matrices_with_repeats(draw):
+    """Integer matrices of 1-6 rows and 1-6 columns mixed with zero and repeated rows."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    pool = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=1, max_size=6))
+    pool.append([0] * width)
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
 
 
 rationals = st.one_of(
@@ -210,6 +220,14 @@ class TestRank:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             rank([[1, 2], [1]])
+
+    @given(int_matrices_with_repeats())
+    @settings(max_examples=200)
+    @example([[0]])
+    @example([[2, 4], [1, 2], [0, 0], [2, 4]])
+    def test_rank_ints_matches_gaussian_oracle(self, m):
+        # _rank_ints overwrites its rows, so it gets a copy
+        assert _rank_ints([list(row) for row in m]) == gauss_rank(m)
 
 
 class TestEchelonAndKernel:
@@ -439,12 +457,15 @@ class TestPointSpannedSubspaces:
 
     def test_rank_two_flats_are_the_distinct_points(self):
         config = config_of((1, 0), (2, 0), (0, 1), (1, 1), (0, -3), (-1, -1), (2, -1))
-        assert point_spanned_subspaces(config) == [
-            SpannedSubspace(basis=((1, 0),), members=(0, 1)),
-            SpannedSubspace(basis=((0, 1),), members=(2, 4)),
-            SpannedSubspace(basis=((1, 1),), members=(3, 5)),
-            SpannedSubspace(basis=((2, -1),), members=(6,)),
+        rows = config.rows()
+        subs = point_spanned_subspaces(config)
+        assert subs == [
+            SpannedSubspace(dim=1, members=(0, 1), rows=rows),
+            SpannedSubspace(dim=1, members=(2, 4), rows=rows),
+            SpannedSubspace(dim=1, members=(3, 5), rows=rows),
+            SpannedSubspace(dim=1, members=(6,), rows=rows),
         ]
+        assert [sub.basis for sub in subs] == [((1, 0),), ((0, 1),), ((1, 1),), ((2, -1),)]
 
 
 class TestProjectiveEquivalence:

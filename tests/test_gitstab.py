@@ -167,6 +167,29 @@ class TestOracleAgreement:
             assert v.witness.size == 2
             assert v == oracle_classify(config, 2)
 
+    def test_oracle_ranks_every_subset_without_the_flat_kernel(self, monkeypatch):
+        import stabgeom.exactgeom
+        import stabgeom.gitstab
+
+        def forbidden(*args):
+            raise AssertionError("the oracle must stay independent of the flat enumeration")
+
+        for name in ("_extend_basis", "_echelon", "point_spanned_subspaces"):
+            monkeypatch.setattr(stabgeom.exactgeom, name, forbidden)
+        monkeypatch.setattr(stabgeom.gitstab, "point_spanned_subspaces", forbidden)
+        ranked = []
+        original = stabgeom.gitstab._rank_ints
+
+        def counted(m):
+            ranked.append(len(m))
+            return original(m)
+
+        monkeypatch.setattr(stabgeom.gitstab, "_rank_ints", counted)
+        config = triple_point_config()
+        verdict = oracle_classify(config, 2)
+        assert verdict.classification is StabilityClass.UNSTABLE
+        assert len(ranked) == 2 ** len(config) - 1
+
 
 class TestOracleCap:
     def test_oracle_refuses_beyond_cap(self, monkeypatch):
