@@ -13,7 +13,6 @@ from .cohsys import (
     SystemType,
     alpha_semistable_config,
     alpha_slope,
-    alpha_stable_config,
     critical_values,
     destabilizing_example_config,
     equivalence_check,
@@ -34,7 +33,6 @@ from .errors import (
     UsageError,
 )
 from .exactgeom import (
-    LinearSubspace,
     PointConfiguration,
     ProjectivePoint,
     ProjectiveTransform,
@@ -50,7 +48,6 @@ from .gale import (
     gale_transform,
     is_self_associated,
     on_smooth_conic,
-    self_association_transform,
 )
 from .gitstab import (
     StabilityClass,

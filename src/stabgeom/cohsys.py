@@ -146,15 +146,6 @@ def alpha_semistable_config(
     return _alpha_verdicts(subsystem_types_from_config(config), weight, a)[0]
 
 
-def alpha_stable_config(
-    config: PointConfiguration, g: ScalarLike, alpha: ScalarLike
-) -> bool:
-    """Strict-inequality variant of alpha_semistable_config."""
-    weight = _check_size(config, g)
-    a = _check_alpha(alpha)
-    return _alpha_verdicts(subsystem_types_from_config(config), weight, a)[1]
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Side-by-side span-criterion and alpha-slope verdicts for one configuration."""

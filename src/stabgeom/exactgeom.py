@@ -2,8 +2,10 @@
 
 Points, configurations, subspaces and transforms are immutable values
 stored in a canonical integer form, so equality is syntactic and every
-operation is a pure function. All arithmetic is exact: scalars are
-``fractions.Fraction`` and matrix routines never round.
+operation is a pure function. All arithmetic is exact and integral:
+coordinates, bases and transforms are integers. ``Fraction`` appears only
+where rationals are parsed (``parse_scalar``) or formatted
+(``format_scalar``) and in ``reduced_row_echelon``'s output.
 
 Rational rows are cleared to integers row by row (``_clear_row_to_ints``)
 and every basis comes from one fraction-free kernel, ``_extend_basis``:
@@ -21,11 +23,10 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import FrameDegenerateError, SchemaError
-
-Scalar = Fraction
 
 ScalarLike = Union[int, str, Fraction]
 
@@ -332,111 +333,60 @@ def in_span(basis: Sequence[Sequence[ScalarLike]], vector: Sequence[ScalarLike])
     return _extend_basis(rows, pivots, _clear_row_to_ints(vector))[1] == pivots
 
 
-def invert(matrix: Sequence[Sequence[ScalarLike]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix; ValueError if singular.
+def _mat_vec_ints(m: Iterable[Sequence[int]], v: Sequence[int]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in m]
+
+
+def _inverse_ints(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """An integer multiple of the inverse of a square integer matrix; ValueError if singular.
 
     The augmented rows [M | I] are cleared as a whole, so their echelon
-    basis is [c_i e_i | c_i (row i of M^-1)] with c_i its pivot entry.
+    basis is [c_i e_i | c_i (row i of M^-1)] with c_i its pivot entry;
+    scaling row i by lcm(c)/c_i leaves lcm(c) M^-1.
     """
-    n = len(matrix)
-    aug = _int_rows(
-        [*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)
-    )
-    if len(aug[0]) != 2 * n:
-        raise ValueError("matrix is not square")
-    basis, pivots = _echelon(aug)
+    n = len(m)
+    basis, pivots = _echelon([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m))
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(basis)]
-
-
-def mat_mul(
-    a: Sequence[Sequence[ScalarLike]], b: Sequence[Sequence[ScalarLike]]
-) -> list[list[Fraction]]:
-    bf = [[parse_scalar(x) for x in row] for row in b]
-    out = []
-    for row in a:
-        rf = [parse_scalar(x) for x in row]
-        out.append(
-            [sum(rf[k] * bf[k][j] for k in range(len(bf))) for j in range(len(bf[0]))]
-        )
-    return out
-
-
-def mat_vec(matrix: Sequence[Sequence[ScalarLike]], vec: Sequence[ScalarLike]) -> list[Fraction]:
-    vf = [parse_scalar(x) for x in vec]
-    return [sum(parse_scalar(a) * v for a, v in zip(row, vf)) for row in matrix]
+    scale = math.lcm(*(row[i] for i, row in enumerate(basis)))
+    return [[x * (scale // row[i]) for x in row[n:]] for i, row in enumerate(basis)]
 
 
 @dataclass(frozen=True, init=False)
 class ProjectiveTransform:
-    """An invertible linear map acting on projective points, up to scale."""
+    """An invertible linear map acting on projective points, up to scale.
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    Canonical form: the whole matrix cleared of denominators and made
+    primitive, its first nonzero entry positive; proportional matrices
+    therefore compare equal syntactically.
+    """
+
+    matrix: tuple[tuple[int, ...], ...]
 
     def __init__(self, matrix: Sequence[Sequence[ScalarLike]]):
-        rows = tuple(tuple(parse_scalar(x) for x in row) for row in matrix)
+        rows = [list(row) for row in matrix]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("transform matrix must be square")
-        if rank(rows) != n:
+        flat = _clear_row_to_ints([x for row in rows for x in row])
+        if _rank_ints([flat[i * n:(i + 1) * n] for i in range(n)]) != n:
             raise ValueError("transform matrix must be invertible")
-        object.__setattr__(self, "matrix", rows)
+        flat = _primitive(flat)
+        object.__setattr__(self, "matrix", tuple(flat[i * n:(i + 1) * n] for i in range(n)))
 
     @property
     def ambient_rank(self) -> int:
         return len(self.matrix)
 
     def apply(self, point: ProjectivePoint) -> ProjectivePoint:
-        return ProjectivePoint(mat_vec(self.matrix, point.coords))
+        if len(point) != len(self.matrix):
+            raise ValueError(
+                f"point has {len(point)} coordinates, transform acts on {len(self.matrix)}"
+            )
+        return ProjectivePoint(_mat_vec_ints(self.matrix, point.coords))
 
     def inverse(self) -> "ProjectiveTransform":
-        return ProjectiveTransform(invert(self.matrix))
-
-    def compose(self, other: "ProjectiveTransform") -> "ProjectiveTransform":
-        """The map applying ``other`` first, then this transform."""
-        return ProjectiveTransform(mat_mul(self.matrix, other.matrix))
-
-    def proportional_to(self, other: "ProjectiveTransform") -> bool:
-        flat_a = [x for row in self.matrix for x in row]
-        flat_b = [x for row in other.matrix for x in row]
-        if len(flat_a) != len(flat_b):
-            return False
-        ratio = None
-        for a, b in zip(flat_a, flat_b):
-            if (a == 0) != (b == 0):
-                return False
-            if a and b:
-                if ratio is None:
-                    ratio = a / b
-                elif a / b != ratio:
-                    return False
-        return True
-
-
-@dataclass(frozen=True, init=False)
-class LinearSubspace:
-    """A linear subspace stored by its canonical echelon basis."""
-
-    basis: tuple[tuple[int, ...], ...]
-
-    def __init__(self, basis: Sequence[Sequence[ScalarLike]]):
-        given = [tuple(row) for row in basis]
-        rows = echelon_basis(given)
-        if len(rows) != len(given):
-            raise ValueError("basis vectors must be linearly independent")
-        object.__setattr__(self, "basis", rows)
-
-    @classmethod
-    def spanned_by(cls, vectors: Sequence[Sequence[ScalarLike]]) -> "LinearSubspace":
-        return cls(echelon_basis(vectors))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, vector: Sequence[ScalarLike]) -> bool:
-        return in_span(self.basis, vector)
+        return ProjectiveTransform(_inverse_ints(self.matrix))
 
 
 def span_dim(config: PointConfiguration, subset: Iterable[int]) -> int:
@@ -533,16 +483,19 @@ def _check_frame_general_position(config: PointConfiguration) -> None:
             raise FrameDegenerateError(f"frame points {combo} are linearly dependent")
 
 
-def _frame_transform(config: PointConfiguration) -> list[list[Fraction]]:
-    """Matrix sending the first r+1 points to e_1, ..., e_r, (1, ..., 1)."""
+def _frame_transform(config: PointConfiguration) -> list[list[int]]:
+    """Integer matrix sending the first r+1 points to e_1, ..., e_r, (1, ..., 1), up to scale.
+
+    Row i of an integer multiple of M^-1 is scaled by lcm(c)/c_i, where c
+    is point r in the basis of the first r. No c_i is zero once the frame
+    is in general position: that would make r of its points dependent.
+    """
     r = config.ambient_rank
     pts = config.points
-    m = [[pts[j].coords[i] for j in range(r)] for i in range(r)]
-    minv = invert(m)
-    c = mat_vec(minv, pts[r].coords)
-    if any(x == 0 for x in c):
-        raise FrameDegenerateError("frame unit point lies on a coordinate hyperplane")
-    return [[row[j] / c[i] for j in range(r)] for i, row in enumerate(minv)]
+    minv = _inverse_ints([[pts[j].coords[i] for j in range(r)] for i in range(r)])
+    c = _mat_vec_ints(minv, pts[r].coords)
+    scale = math.lcm(*c)
+    return [[x * (scale // ci) for x in row] for row, ci in zip(minv, c)]
 
 
 def projectively_equivalent(
@@ -571,8 +524,10 @@ def projectively_equivalent(
         return None
     t1 = _frame_transform(c1)
     t2 = _frame_transform(c2)
-    norm1 = [ProjectivePoint(mat_vec(t1, p.coords)) for p in c1.points]
-    norm2 = [ProjectivePoint(mat_vec(t2, p.coords)) for p in c2.points]
+    norm1 = [ProjectivePoint(_mat_vec_ints(t1, p.coords)) for p in c1.points]
+    norm2 = [ProjectivePoint(_mat_vec_ints(t2, p.coords)) for p in c2.points]
     if norm1 != norm2:
         return None
-    return ProjectiveTransform(mat_mul(invert(t2), t1))
+    # row i of inverse(t2) * t1 is t1^T times row i of inverse(t2)
+    cols = list(zip(*t1))
+    return ProjectiveTransform([_mat_vec_ints(cols, row) for row in _inverse_ints(t2)])

@@ -20,7 +20,6 @@ from .errors import DegenerateConfigurationError, RowEliminationError
 from .exactgeom import (
     PointConfiguration,
     ProjectivePoint,
-    ProjectiveTransform,
     _clear_row_to_ints,
     kernel_basis,
     projectively_equivalent,
@@ -129,14 +128,6 @@ def gale_transform(config: PointConfiguration) -> GaleData:
 def is_self_associated(config: PointConfiguration) -> bool:
     """Whether the configuration is projectively equivalent to its Gale transform."""
     return gale_transform(config).self_associated()
-
-
-def self_association_transform(config: PointConfiguration) -> ProjectiveTransform | None:
-    """The transform realizing self-association, when one exists."""
-    data = gale_transform(config)
-    if data.target.ambient_rank != config.ambient_rank:
-        return None
-    return projectively_equivalent(config, data.target)
 
 
 _CONIC_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))

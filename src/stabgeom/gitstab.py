@@ -22,7 +22,6 @@ from typing import Iterable
 
 from .errors import SubsetTooLargeError
 from .exactgeom import (
-    LinearSubspace,
     PointConfiguration,
     ScalarLike,
     SpannedSubspace,
@@ -153,14 +152,13 @@ def _classify_subspaces(
 
 def worst_subspace(
     config: PointConfiguration, g: ScalarLike
-) -> tuple[LinearSubspace, Fraction]:
-    """The proper subspace maximizing (#points in W) - g*dim(W), with that margin."""
+) -> tuple[SpannedSubspace, Fraction]:
+    """The proper point-spanned subspace maximizing (#points in W) - g*dim(W), with that margin."""
     weight = _coerce_weight(g)
     best = _best_point_spanned(point_spanned_subspaces(config), weight)
     if best is None:
         raise ValueError("no proper point-spanned subspace exists (ambient rank 1)")
-    rows = config.rows()
-    return LinearSubspace.spanned_by([rows[i] for i in best.indices]), best.margin
+    return SpannedSubspace(best.span, best.indices, config.rows()), best.margin
 
 
 def oracle_classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:

@@ -1,5 +1,6 @@
 """Alpha-slope arithmetic, walls, and the span-criterion dictionary."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from stabgeom import (
     classify,
     alpha_semistable_config,
     alpha_slope,
-    alpha_stable_config,
     critical_values,
     destabilizing_example_config,
     equivalence_check,
@@ -20,6 +20,7 @@ from stabgeom import (
     subsystem_types_from_config,
     subsystem_violates,
 )
+from stabgeom.cli import main
 
 from helpers import config_of, standard_six_config, triple_point_config
 
@@ -114,31 +115,43 @@ class TestSubsystemTypes:
         assert subsystem_types_from_config(config_of((1,), (2,))) == []
 
 
+def alpha_check(capsys, config_file, config, alpha):
+    """Exit code and parsed output (stdout, or stderr on failure) of `stab alpha-check --g 2`."""
+    path = config_file([list(p.coords) for p in config.points])
+    code = main(["alpha-check", "--g", "2", "--alpha", str(alpha), "--input", path])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out if code == 0 else captured.err)
+
+
 class TestAlphaStability:
-    def test_generic_six_is_alpha_stable(self):
+    def test_generic_six_is_alpha_stable(self, capsys, config_file):
         config = standard_six_config()
         for alpha in (Fraction(1, 2), 1, 3, 10):
             assert alpha_semistable_config(config, 2, alpha)
-            assert alpha_stable_config(config, 2, alpha)
+            code, data = alpha_check(capsys, config_file, config, alpha)
+            assert code == 0 and data["stable"] is True
 
     def test_triple_point_is_never_alpha_semistable(self):
         config = triple_point_config()
         for alpha in (Fraction(1, 2), 1, 5):
             assert not alpha_semistable_config(config, 2, alpha)
 
-    def test_four_on_a_line_is_semistable_not_stable(self):
+    def test_four_on_a_line_is_semistable_not_stable(self, capsys, config_file):
         config = config_of(
             (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1), (1, 1, 1)
         )
         assert alpha_semistable_config(config, 2, 5)
-        assert not alpha_stable_config(config, 2, 5)
+        code, data = alpha_check(capsys, config_file, config, 5)
+        assert code == 0 and data["stable"] is False
 
-    def test_argument_validation(self):
+    def test_argument_validation(self, capsys, config_file):
         config = standard_six_config()
         with pytest.raises(ValueError):
             alpha_semistable_config(config, 2, 0)
-        with pytest.raises(ValueError):
-            alpha_stable_config(config, 2, -1)
+        assert alpha_check(capsys, config_file, config, -1) == (
+            2,
+            {"error": {"type": "ValueError", "message": "alpha must be positive"}},
+        )
         with pytest.raises(ValueError):
             alpha_semistable_config(config, Fraction(3, 2), 1)
         with pytest.raises(SizeMismatchError):

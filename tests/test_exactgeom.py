@@ -22,13 +22,11 @@ from stabgeom import (
 from stabgeom.exactgeom import (
     SpannedSubspace,
     _canonical_int_vector,
+    _inverse_ints,
     _rank_ints,
     echelon_basis,
     in_span,
-    invert,
     kernel_basis,
-    mat_mul,
-    mat_vec,
     point_spanned_subspaces,
     reduced_row_echelon,
 )
@@ -290,15 +288,15 @@ class TestEchelonAndKernel:
             assert in_span(basis, v) == expected
             assert in_span(rows, v) == expected
         if len(m) != width:
-            with pytest.raises(ValueError, match="^matrix is not square$"):
-                invert(m)
+            with pytest.raises(ValueError, match="^transform matrix must be square$"):
+                ProjectiveTransform(m)
             return
         expected = rref_inverse(m)
         if expected is None:
-            with pytest.raises(ValueError, match="^matrix is singular$"):
-                invert(m)
+            with pytest.raises(ValueError, match="^transform matrix must be invertible$"):
+                ProjectiveTransform(m)
         else:
-            assert invert(m) == expected
+            assert ProjectiveTransform(m).inverse() == ProjectiveTransform(expected)
 
     def test_kernel_of_full_column_rank_is_empty(self):
         assert kernel_basis([[1, 2], [3, 4], [5, 6]]) == []
@@ -325,20 +323,31 @@ class TestTransforms:
         if rank(m) != 3:
             return
         t = ProjectiveTransform(m)
-        ident = t.compose(t.inverse())
-        assert ident.proportional_to(ProjectiveTransform([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        assert t.inverse().inverse() == t
+        for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)):
+            point = ProjectivePoint(p)
+            assert t.inverse().apply(t.apply(point)) == point
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):
             ProjectiveTransform([[1, 2], [2, 4]])
-        with pytest.raises(ValueError):
-            invert([[1, 2], [2, 4]])
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            _inverse_ints([[1, 2], [2, 4]])
 
-    def test_mat_mul_and_mat_vec_agree(self):
-        a = [[1, 2], [3, 4]]
-        b = [[5, 6], [7, 8]]
-        prod = mat_mul(a, b)
-        assert [row[0] for row in prod] == mat_vec(a, [5, 7])
+    def test_equality_is_proportionality(self):
+        identity = ProjectiveTransform([[1, 0], [0, 1]])
+        assert ProjectiveTransform([[-2, 0], [0, -2]]) == identity
+        assert ProjectiveTransform([["1/2", 0], [0, Fraction(1, 2)]]) == identity
+        assert ProjectiveTransform([[1, 0], [0, 2]]) != identity
+        assert ProjectiveTransform([[-2, 0], [0, -2]]).matrix == ((1, 0), (0, 1))
+
+    @pytest.mark.parametrize(
+        "m, coords",
+        [([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 2)), ([[1, 2], [3, 4]], (1, 0, 5))],
+    )
+    def test_apply_rejects_a_point_of_the_wrong_length(self, m, coords):
+        with pytest.raises(ValueError, match="coordinates, transform acts on"):
+            ProjectiveTransform(m).apply(ProjectivePoint(coords))
 
 
 class TestSpans:

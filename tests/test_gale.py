@@ -16,7 +16,6 @@ from stabgeom import (
     on_smooth_conic,
     projectively_equivalent,
     rank,
-    self_association_transform,
 )
 from stabgeom.randconf import (
     random_conic_parameters,
@@ -218,19 +217,20 @@ class TestSelfAssociation:
             config = conic_parameter_points(params).apply(random_transform(rng, 3))
             assert on_smooth_conic(config)
             assert is_self_associated(config)
-            t = self_association_transform(config)
             gale = gale_transform(config).target
+            t = projectively_equivalent(config, gale)
             for p, q in zip(config.points, gale.points):
                 assert t.apply(p) == q
 
     def test_generic_configuration_is_not(self):
-        assert not is_self_associated(standard_six_config())
-        assert self_association_transform(standard_six_config()) is None
+        config = standard_six_config()
+        assert not is_self_associated(config)
+        assert projectively_equivalent(config, gale_transform(config).target) is None
 
     def test_degenerate_target_frame_is_not_self_associated(self):
         config = collinear_target_six_config()
         assert is_self_associated(config) is False
-        assert self_association_transform(config) is None
+        assert projectively_equivalent(config, gale_transform(config).target) is None
 
     def test_size_other_than_two_r_is_never_self_associated(self):
         five = config_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3))
@@ -239,4 +239,3 @@ class TestSelfAssociation:
         )
         for config in (five, seven):
             assert not is_self_associated(config)
-            assert self_association_transform(config) is None

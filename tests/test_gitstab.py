@@ -134,7 +134,8 @@ class TestWitnessContract:
         subspace, margin = worst_subspace(config, 2)
         assert margin == Fraction(1)
         assert subspace.dim == 1
-        assert subspace.contains((1, 0, 0))
+        assert subspace.members == (0, 1, 2)
+        assert subspace.basis == ((1, 0, 0),)
 
 
 class TestOracleAgreement:
