@@ -23,7 +23,6 @@ from .cohsys import (
 from .errors import (
     DegenerateConfigurationError,
     FrameDegenerateError,
-    PencilSearchError,
     RowEliminationError,
     SchemaError,
     SingularPointError,

@@ -39,7 +39,3 @@ class SizeMismatchError(StabgeomError):
 
 class SingularPointError(StabgeomError):
     """A polar image was requested at a singular point."""
-
-
-class PencilSearchError(StabgeomError):
-    """No pencil member with the required singular locus exists."""

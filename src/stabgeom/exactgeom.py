@@ -338,16 +338,19 @@ def _mat_vec_ints(m: Iterable[Sequence[int]], v: Sequence[int]) -> list[int]:
 
 
 def _inverse_ints(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """An integer multiple of the inverse of a square integer matrix; ValueError if singular.
+    """An integer multiple of the inverse of a square integer matrix.
 
     The augmented rows [M | I] are cleared as a whole, so their echelon
     basis is [c_i e_i | c_i (row i of M^-1)] with c_i its pivot entry;
-    scaling row i by lcm(c)/c_i leaves lcm(c) M^-1.
+    scaling row i by lcm(c)/c_i leaves lcm(c) M^-1. A singular matrix
+    raises FrameDegenerateError: the frame transform inverts the matrix of
+    the first r frame points, which is singular exactly when they are
+    dependent.
     """
     n = len(m)
     basis, pivots = _echelon([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m))
     if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
+        raise FrameDegenerateError("matrix is singular")
     scale = math.lcm(*(row[i] for i, row in enumerate(basis)))
     return [[x * (scale // row[i]) for x in row[n:]] for i, row in enumerate(basis)]
 
@@ -475,27 +478,28 @@ def point_spanned_subspaces(config: PointConfiguration) -> list[SpannedSubspace]
     return out
 
 
-def _check_frame_general_position(config: PointConfiguration) -> None:
-    r = config.ambient_rank
-    frame_rows = config.rows()[: r + 2]
-    for combo in combinations(range(len(frame_rows)), r):
-        if _rank_ints([list(frame_rows[i]) for i in combo]) != r:
-            raise FrameDegenerateError(f"frame points {combo} are linearly dependent")
+def _frame_transform(config: PointConfiguration) -> tuple[list[list[int]], list[int]]:
+    """The frame transform T and c; FrameDegenerateError unless the frame is general.
 
-
-def _frame_transform(config: PointConfiguration) -> list[list[int]]:
-    """Integer matrix sending the first r+1 points to e_1, ..., e_r, (1, ..., 1), up to scale.
-
-    Row i of an integer multiple of M^-1 is scaled by lcm(c)/c_i, where c
-    is point r in the basis of the first r. No c_i is zero once the frame
-    is in general position: that would make r of its points dependent.
+    M holds the first r points as columns, c = M^-1 p_r and d = M^-1 p_(r+1),
+    both up to one common integer scale. In the basis of M's columns the
+    frame is e_1, ..., e_r, c, d, so its r + 2 points are in general
+    position iff M is invertible, no c_i or d_i is zero and
+    c_i*d_j != c_j*d_i for i < j. T sends the first r + 1 points to
+    e_1, ..., e_r, (1, ..., 1), up to scale: it is an integer multiple of
+    M^-1 with row i scaled by lcm(c)/c_i.
     """
     r = config.ambient_rank
     pts = config.points
     minv = _inverse_ints([[pts[j].coords[i] for j in range(r)] for i in range(r)])
     c = _mat_vec_ints(minv, pts[r].coords)
+    d = _mat_vec_ints(minv, pts[r + 1].coords)
+    if not all(c) or not all(d) or any(
+        c[i] * d[j] == c[j] * d[i] for i, j in combinations(range(r), 2)
+    ):
+        raise FrameDegenerateError("frame points are not in general position")
     scale = math.lcm(*c)
-    return [[x * (scale // ci) for x in row] for row, ci in zip(minv, c)]
+    return [[x * (scale // ci) for x in row] for row, ci in zip(minv, c)], c
 
 
 def projectively_equivalent(
@@ -517,17 +521,17 @@ def projectively_equivalent(
     r = c1.ambient_rank
     if len(c1) < r + 2:
         raise ValueError(f"need at least {r + 2} points for a frame comparison")
-    _check_frame_general_position(c1)
+    t1, _ = _frame_transform(c1)
     try:
-        _check_frame_general_position(c2)
+        t2, c = _frame_transform(c2)
     except FrameDegenerateError:
         return None
-    t1 = _frame_transform(c1)
-    t2 = _frame_transform(c2)
     norm1 = [ProjectivePoint(_mat_vec_ints(t1, p.coords)) for p in c1.points]
     norm2 = [ProjectivePoint(_mat_vec_ints(t2, p.coords)) for p in c2.points]
     if norm1 != norm2:
         return None
-    # row i of inverse(t2) * t1 is t1^T times row i of inverse(t2)
+    # t2 is proportional to diag(c)^-1 M2^-1, so M2 diag(c) t1 carries c1 onto c2;
+    # its row i is t1^T times row i of M2 diag(c)
     cols = list(zip(*t1))
-    return ProjectiveTransform([_mat_vec_ints(cols, row) for row in _inverse_ints(t2)])
+    m2c = [[ci * p.coords[i] for ci, p in zip(c, c2.points)] for i in range(r)]
+    return ProjectiveTransform([_mat_vec_ints(cols, row) for row in m2c])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .errors import DegenerateConfigurationError, RowEliminationError
@@ -21,6 +20,7 @@ from .exactgeom import (
     PointConfiguration,
     ProjectivePoint,
     _clear_row_to_ints,
+    _primitive,
     kernel_basis,
     projectively_equivalent,
     rank,
@@ -115,12 +115,10 @@ def gale_transform(config: PointConfiguration) -> GaleData:
     points = []
     diag = []
     for row in gp_rows:
-        g = gcd(*row)
-        lead = next(v for v in row if v)
-        sign = 1 if lead > 0 else -1
-        # canonical row = (sign/g) * raw row, so D_i = g * sign restores G^T D G' = 0
-        points.append(ProjectivePoint([sign * (v // g) for v in row]))
-        diag.append(Fraction(sign * g))
+        prim = _primitive(row)
+        points.append(ProjectivePoint(prim))
+        # raw row = D_i * canonical row, so D_i restores G^T D G' = 0
+        diag.append(Fraction(next(v // p for v, p in zip(row, prim) if p)))
     target = PointConfiguration(gamma - big_r, points)
     return GaleData(source=config, target=target, diag=tuple(diag))
 

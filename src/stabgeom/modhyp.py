@@ -12,6 +12,12 @@ rule, dp_k/dx_i = k*x_i^(k-1)) and Hessians come from the power sums of
 the point, in integers for integer points. ``Polynomial`` is the
 expanded reference form that the tests cross-check against. Each model
 is built once per public call, never inside a loop.
+
+Models and the lists of nodes, lines and points are built without
+checking themselves. Their facts (ten nodes of Hessian rank 4, fifteen
+singular lines, fifteen singular points) are checked once, in
+``verify.check_segre_nodes`` and ``verify.check_igusa``, so a wrong model
+is reported there rather than raised here.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .errors import PencilSearchError, SingularPointError
-from .exactgeom import ScalarLike, _canonical_int_vector, kernel_basis, parse_scalar, rank
+from .errors import SingularPointError
+from .exactgeom import ScalarLike, _canonical_int_vector, parse_scalar, rank
 
 NVARS = 6
 
@@ -107,7 +113,7 @@ class Polynomial:
     def evaluate(self, coords: Sequence[ScalarLike]):
         if len(coords) != NVARS:
             raise ValueError(f"need {NVARS} coordinates")
-        vals = [c if isinstance(c, int) else parse_scalar(c) for c in coords]
+        vals = [c if type(c) is int else parse_scalar(c) for c in coords]
         total = 0
         for exps, coeff in self.terms.items():
             term = coeff
@@ -229,7 +235,7 @@ class SymmetricHypersurfaceModel:
         elif len(point) != NVARS:
             raise ValueError(f"need {NVARS} coordinates")
         else:
-            coords = [c if isinstance(c, int) else parse_scalar(c) for c in point]
+            coords = [c if type(c) is int else parse_scalar(c) for c in point]
         table = []
         for x in coords:
             row = [1]
@@ -296,11 +302,6 @@ def segre_cubic() -> SymmetricHypersurfaceModel:
     return SymmetricHypersurfaceModel("segre", 3, {(3,): 1})
 
 
-# Distinct parameter ratios (t : u); five of them decide any identity of
-# degree at most four along a parametrized line.
-_LINE_PARAMS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
-
-
 def perfect_matchings() -> list[tuple[tuple[int, int], ...]]:
     """The 15 perfect matchings of {0, ..., 5}, pairs and lists sorted."""
 
@@ -343,71 +344,9 @@ class MatchingLine:
         )
 
 
-def _line_singular_identity(model: SymmetricHypersurfaceModel, line: MatchingLine) -> bool:
-    """Whether every point of the line is a singular point of the model.
-
-    Both the value and the gradient-difference conditions are polynomials
-    of degree at most model.degree in (t, u); checking five distinct
-    parameter ratios therefore proves the identity exactly. None of the
-    ratios gives the zero vector.
-    """
-    for t, u in _LINE_PARAMS:
-        coords = line.coords_at(t, u)
-        if model.evaluate(coords) != 0:
-            return False
-        grad = model.gradient(coords)
-        if any(g != grad[0] for g in grad[1:]):
-            return False
-    return True
-
-
-def _matching_lines() -> list[MatchingLine]:
-    return [MatchingLine(m) for m in perfect_matchings()]
-
-
-def _pencil_member() -> Polynomial:
-    """The member a*(sum x^2)^2 + b*sum(x^4) singular along all matching lines.
-
-    Solves the linear conditions imposed by the line points on (a, b);
-    a one-dimensional solution space pins the member down up to scale,
-    and every constraint holds for it by construction. This derivation
-    works on the expanded ``Polynomial`` form only, so it is an
-    independent check of the power-sum model ``igusa_quartic``.
-    """
-    q1 = Polynomial.power_sum(2) ** 2
-    q2 = Polynomial.power_sum(4)
-    constraints = []
-    for matching in perfect_matchings():
-        line = MatchingLine(matching)
-        for t, u in _LINE_PARAMS:
-            coords = line.coords_at(t, u)
-            if all(c == 0 for c in coords):
-                continue
-            constraints.append([q1.evaluate(coords), q2.evaluate(coords)])
-            g1 = q1.gradient(coords)
-            g2 = q2.gradient(coords)
-            for i in range(1, NVARS):
-                constraints.append([g1[i] - g1[0], g2[i] - g2[0]])
-    if rank(constraints) != 1:
-        raise PencilSearchError(
-            "no unique pencil member is singular along the matching lines"
-        )
-    (coeffs,) = kernel_basis(constraints)
-    a, b = coeffs
-    return a * q1 + b * q2
-
-
 def igusa_quartic() -> SymmetricHypersurfaceModel:
-    """The quartic (sum x^2)^2 - 4*sum(x^4) = 0 on the hyperplane sum(x) = 0.
-
-    Validated at construction: the singularity identity holds along every
-    matching line.
-    """
-    model = SymmetricHypersurfaceModel("igusa", 4, {(2, 2): 1, (4,): -4})
-    for line in _matching_lines():
-        if not _line_singular_identity(model, line):
-            raise RuntimeError(f"matching line {line.matching} fails the singularity identity")
-    return model
+    """The quartic (sum x^2)^2 - 4*sum(x^4) = 0 on the hyperplane sum(x) = 0."""
+    return SymmetricHypersurfaceModel("igusa", 4, {(2, 2): 1, (4,): -4})
 
 
 def verify_singular_point(model: SymmetricHypersurfaceModel, point: AmbientPoint) -> bool:
@@ -461,27 +400,22 @@ def restricted_hessian_rank(model: SymmetricHypersurfaceModel, point: AmbientPoi
 
 
 def segre_nodes() -> list[SegreNode]:
-    """The ten nodes of the cubic, one per 3+3 split of the coordinates."""
-    model = segre_cubic()
-    nodes = []
-    for split in three_three_splits():
-        point = _node_point(split)
-        if not verify_singular_point(model, point):
-            raise RuntimeError(f"node {point.coords} fails the singularity check")
-        if restricted_hessian_rank(model, point) != 4:
-            raise RuntimeError(f"node {point.coords} is not an ordinary double point")
-        nodes.append(SegreNode(point=point, split=split))
-    return nodes
+    """The ten nodes of the cubic, one per 3+3 split of the coordinates.
+
+    The points are built, not checked: ``verify.check_segre_nodes`` tests
+    each for singularity and Hessian rank 4.
+    """
+    return [SegreNode(point=_node_point(split), split=split) for split in three_three_splits()]
 
 
 def igusa_lines() -> list[MatchingLine]:
     """The 15 singular lines of the quartic, one per perfect matching.
 
-    Building the quartic proves the singularity identity along each of
-    them, so it is not repeated here.
+    The lines are built, not checked: ``verify.check_igusa`` tests each
+    for singularity at six parameter ratios, which proves the degree-4
+    identity along it.
     """
-    igusa_quartic()
-    return _matching_lines()
+    return [MatchingLine(m) for m in perfect_matchings()]
 
 
 @dataclass(frozen=True)
@@ -492,16 +426,12 @@ class IgusaPoint:
 
 def igusa_points() -> list[IgusaPoint]:
     """The 15 distinguished singular points, one per coordinate pair carrying -2."""
-    model = igusa_quartic()
     out = []
     for pair in combinations(range(NVARS), 2):
         coords = [1] * NVARS
         for i in pair:
             coords[i] = -2
-        point = AmbientPoint(coords)
-        if not verify_singular_point(model, point):
-            raise RuntimeError(f"distinguished point {point.coords} is not singular")
-        out.append(IgusaPoint(point=point, pair=pair))
+        out.append(IgusaPoint(point=AmbientPoint(coords), pair=pair))
     return out
 
 

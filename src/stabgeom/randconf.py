@@ -13,7 +13,7 @@ from .exactgeom import (
     PointConfiguration,
     ProjectivePoint,
     ProjectiveTransform,
-    _check_frame_general_position,
+    _frame_transform,
     rank,
 )
 
@@ -79,7 +79,7 @@ def random_frame_configuration(
         ]
         config = PointConfiguration(ambient_rank, points)
         try:
-            _check_frame_general_position(config)
+            _frame_transform(config)
         except FrameDegenerateError:
             continue
         return config

@@ -4,7 +4,8 @@ Each check runs one acceptance-level claim end to end, re-deriving
 expected values independently where feasible (direct formulas, literal
 enumeration, recomputed matrix products). Negative results are recorded
 in the returned CheckResult, never raised, so a run always reports every
-check.
+check. The hypersurface facts are checked here only: ``modhyp`` builds
+its models, nodes, lines and points without checking them.
 """
 
 from __future__ import annotations
@@ -365,6 +366,8 @@ def check_igusa() -> CheckResult:
     lines = igusa_lines()
     if len(lines) != 15:
         failures.append(f"expected 15 lines, got {len(lines)}")
+    # value and gradient differences have degree <= 4 in (t, u), so five
+    # distinct ratios already prove the singularity of the whole line
     params = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (3, 2))
     for line in lines:
         for t, u in params:

@@ -2,12 +2,15 @@
 
 The linear-algebra oracle here is deliberately the textbook Fraction-based
 Gauss-Jordan elimination, so it shares no code path with the integer
-echelon kernel or the Bareiss routine under test.
+echelon kernel or the Bareiss routine under test. The Igusa pencil
+derivation solves its conditions with the same oracle, on the expanded
+``Polynomial`` form rather than the power-sum model.
 """
 
 from fractions import Fraction
 
-from stabgeom import PointConfiguration
+from stabgeom import MatchingLine, PointConfiguration, perfect_matchings
+from stabgeom.modhyp import NVARS, Polynomial
 
 
 def rref(matrix):
@@ -35,6 +38,42 @@ def rref(matrix):
 
 def gauss_rank(matrix) -> int:
     return len(rref(matrix)[1])
+
+
+# Distinct parameter ratios (t : u); five of them decide any identity of
+# degree at most four along a parametrized line.
+_LINE_PARAMS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
+
+
+def pencil_member():
+    """The member a*(sum x^2)^2 + b*sum(x^4) singular along all matching lines.
+
+    Solves the linear conditions imposed by the line points on (a, b) with
+    ``rref``; a one-dimensional solution space pins the member down up to
+    scale, taken here with its first nonzero coefficient 1. This
+    derivation works on the expanded ``Polynomial`` form only, so it is an
+    independent check of the power-sum model ``igusa_quartic``.
+    """
+    q1 = Polynomial.power_sum(2) ** 2
+    q2 = Polynomial.power_sum(4)
+    constraints = []
+    for matching in perfect_matchings():
+        line = MatchingLine(matching)
+        for t, u in _LINE_PARAMS:
+            coords = line.coords_at(t, u)
+            constraints.append([q1.evaluate(coords), q2.evaluate(coords)])
+            g1 = q1.gradient(coords)
+            g2 = q2.gradient(coords)
+            for i in range(1, NVARS):
+                constraints.append([g1[i] - g1[0], g2[i] - g2[0]])
+    rows, pivots = rref(constraints)
+    assert len(pivots) == 1, "no unique pencil member is singular along the matching lines"
+    # the kernel vector: 1 in the free column, minus the RREF entry there in the pivot column
+    v = [Fraction(1), Fraction(1)]
+    v[pivots[0]] = -rows[0][1 - pivots[0]]
+    lead = next(x for x in v if x)
+    a, b = (x / lead for x in v)
+    return a * q1 + b * q2
 
 
 def config_of(*rows) -> PointConfiguration:

@@ -14,6 +14,7 @@ from stabgeom import (
     EquivalenceReport,
     PointConfiguration,
     StabilityClass,
+    SymmetricHypersurfaceModel,
     classify,
     conic_parameter_points,
 )
@@ -465,6 +466,27 @@ class TestHypersurface:
         code, out, _ = cli(["hypersurface", "verify", "duality"])
         assert code == 1
         assert payload(out)["passed"] is False
+
+    @pytest.mark.parametrize(
+        "argv, degree",
+        [
+            (["hypersurface", "verify", "igusa"], 4),
+            (["hypersurface", "verify", "segre", "--samples", "0"], 3),
+        ],
+    )
+    def test_wrong_model_is_reported_not_raised(self, cli, monkeypatch, argv, degree):
+        # models are built without checking themselves; verify reports the fault
+        gradient = SymmetricHypersurfaceModel.gradient
+
+        def perturbed(self, point):
+            grad = gradient(self, point)
+            return (grad[0] + 1,) + grad[1:] if self.degree == degree else grad
+
+        monkeypatch.setattr(SymmetricHypersurfaceModel, "gradient", perturbed)
+        code, out, err = cli(argv)
+        assert code == 1
+        assert payload(out)["passed"] is False
+        assert err == ""
 
 
 class TestIncidence:

@@ -22,6 +22,7 @@ from stabgeom import (
 from stabgeom.exactgeom import (
     SpannedSubspace,
     _canonical_int_vector,
+    _frame_transform,
     _inverse_ints,
     _rank_ints,
     echelon_basis,
@@ -511,3 +512,51 @@ class TestProjectiveEquivalence:
         a = config_of((1, 0), (0, 1), (1, 1))
         with pytest.raises(ValueError):
             projectively_equivalent(a, a)
+
+
+def frame_in_general_position(rows, r):
+    """Whether every r of the first r + 2 rows are independent, by gauss_rank alone."""
+    return all(gauss_rank([rows[i] for i in c]) == r for c in combinations(range(r + 2), r))
+
+
+@st.composite
+def small_frames(draw):
+    """Ranks 1-4 with r + 2 to r + 3 points of entries in [-2, 2]: degenerate frames are common."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=r + 2, max_value=r + 3))
+    point = st.lists(st.integers(min_value=-2, max_value=2), min_size=r, max_size=r).filter(any)
+    return PointConfiguration.from_rows(draw(st.lists(point, min_size=n, max_size=n)))
+
+
+class TestFrameGeneralPosition:
+    # one frame per way to fail: M singular, some c_i = 0, some d_i = 0,
+    # and a vanishing minor c_i*d_j - c_j*d_i
+    DEGENERATE = [
+        ("matrix is singular", [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)]),
+        ("not in general position", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3)]),
+        ("not in general position", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 0)]),
+        ("not in general position", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 2, 3)]),
+    ]
+
+    @pytest.mark.parametrize("message, rows", DEGENERATE)
+    def test_each_degenerate_kind_raises(self, message, rows):
+        assert not frame_in_general_position(rows, 3)
+        with pytest.raises(FrameDegenerateError, match=message):
+            _frame_transform(config_of(*rows))
+
+    @given(small_frames())
+    @settings(max_examples=300)
+    @example(config_of(*DEGENERATE[0][1]))
+    @example(config_of(*DEGENERATE[3][1]))
+    @example(config_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)))
+    def test_verdict_matches_every_r_subset(self, config):
+        r = config.ambient_rank
+        rows = config.rows()
+        if not frame_in_general_position(rows, r):
+            with pytest.raises(FrameDegenerateError):
+                _frame_transform(config)
+            return
+        t, _ = _frame_transform(config)
+        images = [ProjectivePoint([sum(a * b for a, b in zip(row, p)) for row in t]) for p in rows]
+        unit = [ProjectivePoint([int(i == j) for i in range(r)]) for j in range(r)]
+        assert images[: r + 1] == unit + [ProjectivePoint([1] * r)]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from stabgeom import (
     AmbientPoint,
     MatchingLine,
+    SchemaError,
     SingularPointError,
     SymmetricHypersurfaceModel,
     duality_check,
@@ -25,9 +26,9 @@ from stabgeom import (
     three_three_splits,
     verify_singular_point,
 )
-from stabgeom.modhyp import NVARS, Polynomial, _pencil_member, _sign_paired
+from stabgeom.modhyp import NVARS, Polynomial, _sign_paired
 
-from helpers import gauss_rank
+from helpers import gauss_rank, pencil_member
 
 
 class TestPolynomial:
@@ -104,7 +105,7 @@ class TestModels:
     def test_quartic_equals_the_unique_pencil_member(self):
         expected = Polynomial.power_sum(2) ** 2 + (-4) * Polynomial.power_sum(4)
         assert igusa_quartic().polynomial == expected
-        assert _pencil_member() == expected
+        assert pencil_member() == expected
 
     def test_degrees_and_names(self):
         assert segre_cubic().degree == 3
@@ -189,6 +190,17 @@ class TestPowerSumCore:
             assert all(type(g) is int for g in model.gradient(coords))
             assert all(type(h) is int for row in model.hessian(coords) for h in row)
         assert all(type(c) is int for c in MatchingLine(perfect_matchings()[3]).coords_at(2, -7))
+
+    def test_bool_coordinates_rejected(self):
+        # True == 1 and False == 0, so a bool taken for an int would evaluate
+        # to 0 here; AmbientPoint rejects the same coordinates
+        coords = [True, False, 0, 0, 0, -1]
+        with pytest.raises(SchemaError):
+            AmbientPoint(coords)
+        for model in (segre_cubic(), igusa_quartic()):
+            for method in (model.evaluate, model.gradient, model.hessian, model.polynomial.evaluate):
+                with pytest.raises(SchemaError):
+                    method(coords)
 
 
 class TestAmbientPoint:

@@ -68,7 +68,6 @@ PUBLIC_NAMES = {
     # errors
     "DegenerateConfigurationError",
     "FrameDegenerateError",
-    "PencilSearchError",
     "RowEliminationError",
     "SchemaError",
     "SingularPointError",
