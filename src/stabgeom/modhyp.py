@@ -9,9 +9,12 @@ A model is an integer combination of products of the power sums
 p_k = sum(x_i^k): the cubic is p3 and the quartic p2^2 - 4*p4 (Hunt,
 LNM 1637; Dolgachev-Ortland, Asterisque 165). Values, gradients (chain
 rule, dp_k/dx_i = k*x_i^(k-1)) and Hessians come from the power sums of
-the point, in integers for integer points. ``Polynomial`` is the
-expanded reference form that the tests cross-check against. Each model
-is built once per public call, never inside a loop.
+the point, in integers for integer points. One power pass per point
+serves the value, the gradient, the singularity test and the polar
+image: each caller builds a point's power table once and reads every
+answer off it. ``Polynomial`` is the expanded reference form that the
+tests cross-check against. Each model is built once per public call,
+never inside a loop.
 
 Models and the lists of nodes, lines and points are built without
 checking themselves. Their facts (ten nodes of Hessian rank 4, fifteen
@@ -27,6 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SingularPointError
@@ -179,13 +183,18 @@ class SymmetricHypersurfaceModel:
     The form is an integer combination of products of the power sums
     p_k = sum(x_i^k), keyed by partition: {(3,): 1} is p3 and
     {(2, 2): 1, (4,): -4} is p2^2 - 4*p4. Symmetry therefore holds by
-    construction. Parts are at most six, where products of power sums are
-    linearly independent, so a nonzero coefficient set is a nonzero form.
+    construction. Parts run from two to six: p1 = sum(x) vanishes on the
+    hyperplane, so a part 1 is refused, and by Chevalley's theorem the
+    products of p2 .. p6 are linearly independent there, so a nonzero
+    coefficient set is a nonzero form on the hyperplane.
 
-    Every evaluation computes the power sums once per point. The gradient
-    follows by the chain rule with dp_k/dx_i = k*x_i^(k-1), the Hessian
-    from the second derivatives in the p_k, so integer coordinates stay
-    integers. ``polynomial`` is the expanded form, kept for cross-checks.
+    Each point's power table (x_i^j and the power sums) is computed once
+    and serves the value, the gradient, the singularity test and the polar
+    image. The gradient follows by the chain rule with
+    dp_k/dx_i = k*x_i^(k-1), the Hessian from the second derivatives in
+    the p_k, so integer coordinates stay integers. The derivatives in the
+    p_k are taken once per model. ``polynomial`` is the expanded form,
+    kept for cross-checks.
     """
 
     name: str
@@ -201,6 +210,10 @@ class SymmetricHypersurfaceModel:
                 or any(type(k) is not int or not 1 <= k <= NVARS for k in parts)
             ):
                 raise ValueError(f"malformed partition {parts!r}")
+            if 1 in parts:
+                raise ValueError(
+                    f"partition {parts!r} has a part 1: p1 vanishes on the hyperplane"
+                )
             if type(coeff) is not int:
                 raise ValueError(f"coefficient {coeff!r} is not an integer")
             if sum(parts) != degree:
@@ -213,6 +226,10 @@ class SymmetricHypersurfaceModel:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
+        # (k, dF/dp_k) for each order k in the form; not a field, so
+        # equality, hash and repr see only name, degree and terms
+        orders = sorted({k for parts, _ in clean for k in parts})
+        object.__setattr__(self, "_chain", tuple((k, _d_dp(clean, k)) for k in orders))
 
     @property
     def polynomial(self) -> Polynomial:
@@ -225,32 +242,32 @@ class SymmetricHypersurfaceModel:
             out = out + term
         return out
 
-    def _orders(self) -> list[int]:
-        return sorted({k for parts, _ in self.terms for k in parts})
-
     def _powers(self, point: "AmbientPoint | Sequence[ScalarLike]") -> tuple[list, list]:
-        """x_i^0 .. x_i^degree for each coordinate, and the power sums p_0 .. p_degree."""
+        """Columns cols[j][i] = x_i^j for j = 0 .. degree, and the power sums p_0 .. p_degree."""
         if isinstance(point, AmbientPoint):
             coords = point.coords
         elif len(point) != NVARS:
             raise ValueError(f"need {NVARS} coordinates")
         else:
             coords = [c if type(c) is int else parse_scalar(c) for c in point]
-        table = []
-        for x in coords:
-            row = [1]
-            for _ in range(self.degree):
-                row.append(row[-1] * x)
-            table.append(row)
-        return table, [sum(col) for col in zip(*table)]
+        cols = [[1] * NVARS, list(coords)]
+        for _ in range(self.degree - 1):
+            cols.append(list(map(mul, cols[-1], coords)))
+        return cols, [sum(col) for col in cols]
+
+    def _gradient(self, cols: list, p: list) -> tuple:
+        """The gradient from a point's power table: sum over k of dF/dp_k * k*x_i^(k-1)."""
+        grad = [0] * NVARS
+        for k, d in self._chain:
+            c = k * _at(d, p)
+            grad = [g + c * x for g, x in zip(grad, cols[k - 1])]
+        return tuple(grad)
 
     def evaluate(self, point: "AmbientPoint | Sequence[ScalarLike]"):
         return _at(self.terms, self._powers(point)[1])
 
     def gradient(self, point: "AmbientPoint | Sequence[ScalarLike]") -> tuple:
-        table, p = self._powers(point)
-        chain = [(k, k * _at(_d_dp(self.terms, k), p)) for k in self._orders()]
-        return tuple(sum(d * row[k - 1] for k, d in chain) for row in table)
+        return self._gradient(*self._powers(point))
 
     def hessian(self, point: "AmbientPoint | Sequence[ScalarLike]") -> list[list]:
         """The 6x6 matrix of second partials, by the chain rule.
@@ -259,19 +276,17 @@ class SymmetricHypersurfaceModel:
         k*x_i^(k-1) * l*x_j^(l-1), plus, when i = j, the sum over k of
         dF/dp_k times k*(k-1)*x_i^(k-2).
         """
-        table, p = self._powers(point)
-        orders = self._orders()
-        first = [_d_dp(self.terms, k) for k in orders]
-        second = [[_at(_d_dp(f, l), p) for l in orders] for f in first]
-        dx = [[k * row[k - 1] for k in orders] for row in table]
+        cols, p = self._powers(point)
+        second = [[_at(_d_dp(f, l), p) for l, _ in self._chain] for _, f in self._chain]
+        dx = [[k * x for x in cols[k - 1]] for k, _ in self._chain]
         diag = [
-            sum(k * (k - 1) * _at(f, p) * row[k - 2] for k, f in zip(orders, first) if k > 1)
-            for row in table
+            sum(k * (k - 1) * _at(f, p) * cols[k - 2][i] for k, f in self._chain)
+            for i in range(NVARS)
         ]
-        size = range(len(orders))
+        size = range(len(self._chain))
         return [
             [
-                sum(dx[i][a] * second[a][b] * dx[j][b] for a in size for b in size)
+                sum(dx[a][i] * second[a][b] * dx[b][j] for a in size for b in size)
                 + (diag[i] if i == j else 0)
                 for j in range(NVARS)
             ]
@@ -351,9 +366,12 @@ def igusa_quartic() -> SymmetricHypersurfaceModel:
 
 def verify_singular_point(model: SymmetricHypersurfaceModel, point: AmbientPoint) -> bool:
     """Singularity of the hyperplane section: F(p) = 0 and grad F proportional to (1,...,1)."""
-    if model.evaluate(point) != 0:
-        return False
-    grad = model.gradient(point)
+    cols, p = model._powers(point)
+    return _at(model.terms, p) == 0 and _along_normal(model._gradient(cols, p))
+
+
+def _along_normal(grad: Sequence) -> bool:
+    """Whether a gradient is a multiple of (1, ..., 1), the hyperplane's normal."""
     return all(g == grad[0] for g in grad[1:])
 
 
@@ -475,9 +493,14 @@ def polar_map(model: SymmetricHypersurfaceModel, point: AmbientPoint) -> Ambient
     gradient is translated by its coordinate mean so the image lands back
     in the sum-zero chart. The translate is scaled by NVARS to stay integral.
     """
-    if model.evaluate(point) != 0:
+    cols, p = model._powers(point)
+    if _at(model.terms, p) != 0:
         raise ValueError("point does not lie on the hypersurface")
-    grad = model.gradient(point)
+    return _polar_image(model._gradient(cols, p))
+
+
+def _polar_image(grad: Sequence) -> AmbientPoint:
+    """The gradient minus its coordinate mean, scaled by NVARS; see ``polar_map``."""
     total = sum(grad)
     centered = [NVARS * gi - total for gi in grad]
     if all(c == 0 for c in centered):
@@ -495,20 +518,18 @@ def _random_direction(rng: random.Random) -> list[int] | None:
     return w
 
 
-def _sign_paired(
-    coords: Sequence[ScalarLike], matchings: Iterable[tuple[tuple[int, int], ...]]
-) -> bool:
-    """Whether the coordinates pair up to sign along one of the perfect matchings.
+def _sign_paired(coords: Sequence[ScalarLike]) -> bool:
+    """Whether the coordinates pair up to sign along some perfect matching.
 
-    Lines through a node invariant under a coordinate transposition force
-    their residual point onto such a locus (the 15 planes of the cubic
-    among them); small integer directions hit this often, so the sampler
-    treats it as a degenerate draw.
+    Such a matching exists exactly when every absolute value occurs an
+    even number of times, that is when the sorted absolute values pair up
+    consecutively. Lines through a node invariant under a coordinate
+    transposition force their residual point onto such a locus (the 15
+    planes of the cubic among them); small integer directions hit this
+    often, so the sampler treats it as a degenerate draw.
     """
-    for matching in matchings:
-        if all(coords[a] ** 2 == coords[b] ** 2 for a, b in matching):
-            return True
-    return False
+    mags = sorted(map(abs, coords))
+    return mags[0::2] == mags[1::2]
 
 
 def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
@@ -517,14 +538,17 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
     A line through a node nu in direction w (sum w = 0) meets the cubic in
     lambda^2 * (a2 + a3*lambda) = 0, so the residual point nu - (a2/a3)*w
     is rational; it is taken as the integer multiple a3*nu - a2*w. Draws
-    with a3 = 0, a2 = 0, a singular residual, or a sign-paired residual
-    are skipped and retried a bounded number of times.
+    with a3 = 0, a2 = 0, a sign-paired residual or a singular residual are
+    skipped, in that order, and retried a bounded number of times. Each
+    residual's power table is built once and serves both the on-cubic
+    check and the gradient; the cheap sign-pairing test runs before the
+    gradient, and since both tests only reject, their order does not
+    change which points are drawn.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     model = segre_cubic()
     nodes = [n.point for n in segre_nodes()]
-    matchings = perfect_matchings()
     out = []
     for index in range(count):
         rng = random.Random(seed * 1_000_003 + index)
@@ -538,9 +562,10 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
             if a3 == 0 or a2 == 0:
                 continue
             point = AmbientPoint([a3 * n - a2 * wi for n, wi in zip(nu, w)])
-            if model.evaluate(point) != 0:
+            cols, p = model._powers(point)
+            if _at(model.terms, p) != 0:
                 raise RuntimeError("residual intersection left the cubic")
-            if verify_singular_point(model, point) or _sign_paired(point.coords, matchings):
+            if _sign_paired(point.coords) or _along_normal(model._gradient(cols, p)):
                 continue
             out.append(point)
             break
@@ -586,7 +611,8 @@ def duality_check(samples: int, seed: int = 0) -> DualityReport:
     Forward: the polar image of each sampled cubic point satisfies the
     quartic. Reverse: the polar image of each such quartic point (when
     nonsingular there) satisfies the cubic. Failures are reported, not
-    raised.
+    raised. A sample costs three power passes: x on the cubic, y on the
+    quartic (value, singularity test and reverse image) and z on the cubic.
     """
     if samples < 0:
         raise ValueError("samples must be nonnegative")
@@ -599,15 +625,18 @@ def duality_check(samples: int, seed: int = 0) -> DualityReport:
     bad: list[tuple[str, tuple[int, ...]]] = []
     for x in points:
         y = polar_map(segre, x)
-        if igusa.evaluate(y) == 0:
+        cols, p = igusa._powers(y)
+        if _at(igusa.terms, p) == 0:
             forward_ok += 1
         else:
             bad.append(("forward", x.coords))
             continue
-        if verify_singular_point(igusa, y):
+        # one gradient at y serves the singularity test and the reverse image
+        grad = igusa._gradient(cols, p)
+        if _along_normal(grad):
             skipped += 1
             continue
-        z = polar_map(igusa, y)
+        z = _polar_image(grad)
         if segre.evaluate(z) == 0:
             reverse_ok += 1
         else:

@@ -76,6 +76,18 @@ def pencil_member():
     return a * q1 + b * q2
 
 
+def sign_paired_by_matching(coords) -> bool:
+    """Whether some perfect matching pairs the coordinates up to sign.
+
+    The definition itself, one matching at a time: the reference for the
+    sorted-absolute-value test in ``modhyp._sign_paired``.
+    """
+    return any(
+        all(coords[a] ** 2 == coords[b] ** 2 for a, b in matching)
+        for matching in perfect_matchings()
+    )
+
+
 def config_of(*rows) -> PointConfiguration:
     return PointConfiguration.from_rows(list(rows))
 

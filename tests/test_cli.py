@@ -417,6 +417,45 @@ class TestGaleGoldenBytes:
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_GOLDEN_SEEDS = ("0", "7", "123456789")
+_DUALITY_DIGEST = "63c8dc2a0301b4750e225807d25d817a4450811ffa5884c97c2f74a1fee95c83"
+_SEGRE_DIGEST = "7e3c200a65abb640e5c15c8eea9725d590d1b9b5bb0ed4972e7eb12fdb4826fa"
+_IGUSA_DIGEST = "1f96efd6a841947871f13846f307d57b90017f5bbe4887bddedb6e90dd755b46"
+
+
+class TestHypersurfaceGoldenBytes:
+    """SHA-256 of `stab hypersurface verify` stdout: the CLI bytes are a fixed contract.
+
+    A passing run prints no seed-dependent data, so each seed must give the
+    same bytes.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                ["duality", "--samples", "60", "--seed", seed], _DUALITY_DIGEST,
+                id=f"duality-seed-{seed}",
+            )
+            for seed in _GOLDEN_SEEDS
+        ]
+        + [
+            pytest.param(
+                ["segre", "--samples", "200", "--seed", seed], _SEGRE_DIGEST,
+                id=f"segre-seed-{seed}",
+            )
+            for seed in _GOLDEN_SEEDS
+        ]
+        + [pytest.param(["igusa"], _IGUSA_DIGEST, id="igusa")],
+    )
+    def test_stdout_bytes(self, cli, argv, digest):
+        code, out, err = cli(["hypersurface", "verify"] + argv)
+        assert code == 0
+        assert err == ""
+        assert payload(out)["passed"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestHypersurface:
     def test_segre_without_search(self, cli):
         code, out, _ = cli(["hypersurface", "verify", "segre", "--samples", "0"])
@@ -475,14 +514,15 @@ class TestHypersurface:
         ],
     )
     def test_wrong_model_is_reported_not_raised(self, cli, monkeypatch, argv, degree):
-        # models are built without checking themselves; verify reports the fault
-        gradient = SymmetricHypersurfaceModel.gradient
+        # models are built without checking themselves; verify reports the fault.
+        # Every gradient, public or from a shared power table, comes from _gradient.
+        gradient = SymmetricHypersurfaceModel._gradient
 
-        def perturbed(self, point):
-            grad = gradient(self, point)
+        def perturbed(self, cols, p):
+            grad = gradient(self, cols, p)
             return (grad[0] + 1,) + grad[1:] if self.degree == degree else grad
 
-        monkeypatch.setattr(SymmetricHypersurfaceModel, "gradient", perturbed)
+        monkeypatch.setattr(SymmetricHypersurfaceModel, "_gradient", perturbed)
         code, out, err = cli(argv)
         assert code == 1
         assert payload(out)["passed"] is False

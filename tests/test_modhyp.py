@@ -1,7 +1,7 @@
 """The symmetric cubic and quartic: singular loci, incidence, duality."""
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +28,7 @@ from stabgeom import (
 )
 from stabgeom.modhyp import NVARS, Polynomial, _sign_paired
 
-from helpers import gauss_rank, pencil_member
+from helpers import gauss_rank, pencil_member, sign_paired_by_matching
 
 
 class TestPolynomial:
@@ -87,7 +87,7 @@ class TestModels:
         with pytest.raises(ValueError):
             SymmetricHypersurfaceModel("bad", 3, {(3,): 0})
         with pytest.raises(ValueError):
-            SymmetricHypersurfaceModel("bad", 4, {(1, 3): 1, (3, 1): -1, (4,): 0})
+            SymmetricHypersurfaceModel("bad", 6, {(2, 4): 1, (4, 2): -1, (6,): 0})
         # malformed partitions and coefficients
         for parts in [(), (0, 3), (-1, 4), (7,), (True, 2), ("3",), 3, "3"]:
             with pytest.raises(ValueError):
@@ -99,8 +99,32 @@ class TestModels:
         quartic = SymmetricHypersurfaceModel("igusa", 4, {(4,): -4, (2, 2): 1})
         assert quartic.terms == (((2, 2), 1), ((4,), -4))
         assert quartic == igusa_quartic()
-        merged = SymmetricHypersurfaceModel("m", 4, {(1, 3): 2, (3, 1): 1, (2, 1, 1): 0})
-        assert merged.terms == (((3, 1), 3),)
+        merged = SymmetricHypersurfaceModel("m", 6, {(2, 4): 2, (4, 2): 1, (2, 2, 2): 0})
+        assert merged.terms == (((4, 2), 3),)
+
+    @pytest.mark.parametrize(
+        "degree, terms",
+        [
+            (1, {(1,): 1}),
+            (3, {(2, 1): 1}),
+            (3, {(3,): 1, (2, 1): 1}),
+            (3, {(1, 1, 1): 1}),
+            (4, {(2, 2): 1, (4,): -4, (3, 1): 0}),
+        ],
+    )
+    def test_part_one_is_refused(self, degree, terms):
+        # p1 = sum(x) is 0 on the hyperplane: {(3,): 1, (2, 1): 1} would be a
+        # second name for the cubic and {(2, 1): 1} a form singular everywhere
+        with pytest.raises(ValueError, match="part 1"):
+            SymmetricHypersurfaceModel("bad", degree, terms)
+
+    def test_chain_terms_are_not_fields(self):
+        # the per-model chain-rule terms stay out of ==, hash and repr
+        a, b = igusa_quartic(), igusa_quartic()
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == (
+            "SymmetricHypersurfaceModel(name='igusa', degree=4, terms=(((2, 2), 1), ((4,), -4)))"
+        )
 
     def test_quartic_equals_the_unique_pencil_member(self):
         expected = Polynomial.power_sum(2) ** 2 + (-4) * Polynomial.power_sum(4)
@@ -136,10 +160,11 @@ def hyperplane_coords(draw):
 
 @st.composite
 def power_sum_forms(draw):
-    degree = draw(st.integers(1, 4))
+    # parts of at least 2: p1 vanishes on the hyperplane and is refused
+    degree = draw(st.integers(2, 6))
     terms = draw(
         st.dictionaries(
-            st.sampled_from(list(_partitions(degree))),
+            st.sampled_from([parts for parts in _partitions(degree) if 1 not in parts]),
             st.integers(-5, 5).filter(bool),
             min_size=1,
         )
@@ -353,7 +378,7 @@ class TestPolarDuality:
         # image is constant on those pairs, hence on a singular line
         x = AmbientPoint([1, -1, 2, -2, 3, -3])
         assert segre_cubic().evaluate(x) == 0
-        assert _sign_paired(x.coords, perfect_matchings())
+        assert _sign_paired(x.coords)
         y = polar_map(segre_cubic(), x)
         igusa = igusa_quartic()
         assert igusa.evaluate(y) == 0
@@ -381,7 +406,7 @@ class TestSampling:
         for p in points:
             assert model.evaluate(p) == 0
             assert not verify_singular_point(model, p)
-            assert not _sign_paired(p.coords, perfect_matchings())
+            assert not _sign_paired(p.coords)
 
     def test_deterministic_per_seed(self):
         a = sample_segre_points(8, seed=4)
@@ -396,3 +421,64 @@ class TestSampling:
 
     def test_zero_count(self):
         assert sample_segre_points(0) == []
+
+
+class TestSignPaired:
+    """The sorted-absolute-value test against the perfect-matching definition."""
+
+    def test_exhaustive_small_box(self):
+        for coords in product(range(-2, 3), repeat=NVARS):
+            assert _sign_paired(coords) == sign_paired_by_matching(coords), coords
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=NVARS, max_size=NVARS),
+        st.lists(st.integers(-10**6, 10**6), min_size=NVARS, max_size=NVARS),
+        st.lists(st.booleans(), min_size=NVARS, max_size=NVARS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_wide_integers(self, small, wide, pick):
+        # mixing a narrow range in keeps paired draws frequent
+        coords = [a if p else b for a, b, p in zip(small, wide, pick)]
+        assert _sign_paired(coords) == sign_paired_by_matching(coords)
+
+
+class TestOnePowerPass:
+    """Each point's power table is built once per question about it."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        original = SymmetricHypersurfaceModel._powers
+
+        def counted(self, point):
+            calls.append(point)
+            return original(self, point)
+
+        monkeypatch.setattr(SymmetricHypersurfaceModel, "_powers", counted)
+        return calls
+
+    def test_duality_makes_three_passes_per_sample(self, monkeypatch, passes):
+        import stabgeom.modhyp
+
+        points = sample_segre_points(10, seed=0)
+        monkeypatch.setattr(stabgeom.modhyp, "sample_segre_points", lambda count, seed=0: points)
+        del passes[:]
+        report = duality_check(10, 0)
+        assert report.passed and report.reverse_skipped == 0
+        assert len(passes) == 30
+
+    def test_singularity_test_and_polar_map_make_one_pass(self, passes):
+        x = sample_segre_points(1, seed=0)[0]
+        del passes[:]
+        assert not verify_singular_point(segre_cubic(), x)
+        assert len(passes) == 1
+        polar_map(segre_cubic(), x)
+        assert len(passes) == 2
+
+    def test_sampler_makes_one_pass_per_attempt(self, passes):
+        # every attempt builds a fresh residual point and one table for it,
+        # so no point object is passed twice
+        points = sample_segre_points(20, seed=0)
+        assert len(passes) >= len(points)
+        assert len({id(p) for p in passes}) == len(passes)
+        assert all(any(p is q for q in passes) for p in points)
