@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import SizeMismatchError
 from .exactgeom import (
     PointConfiguration,
     ProjectivePoint,
     ScalarLike,
-    SpannedSubspace,
-    point_spanned_subspaces,
+    _Flat,
+    _flats,
 )
-from .gitstab import StabilityVerdict, _classify_subspaces
+from .gitstab import StabilityVerdict, _best_point_spanned, _verdict
 
 
 @dataclass(frozen=True)
@@ -100,15 +101,15 @@ def subsystem_types_from_config(config: PointConfiguration) -> list[SystemType]:
     d_max(s) is the largest number of configuration points lying in a
     common subspace of linear dimension at most s.
     """
-    return _subsystem_types(config.ambient_rank, point_spanned_subspaces(config))
+    return _subsystem_types(config.ambient_rank, _flats(config))
 
 
-def _subsystem_types(r: int, subspaces: list[SpannedSubspace]) -> list[SystemType]:
-    out = []
-    for s in range(1, r):
-        d_max = max((len(w.members) for w in subspaces if w.dim <= s), default=0)
-        out.append(SystemType(s, d_max, s))
-    return out
+def _subsystem_types(r: int, flats: Iterable[_Flat]) -> list[SystemType]:
+    """The types (s, d_max(s), s) from one pass over the (dim, members) flats."""
+    most = [0] * r
+    for dim, members in flats:
+        most[dim] = max(most[dim], len(members))
+    return [SystemType(s, max(most[: s + 1]), s) for s in range(1, r)]
 
 
 def _check_size(config: PointConfiguration, g: ScalarLike) -> Fraction:
@@ -184,10 +185,10 @@ def equivalence_check(config: PointConfiguration, g: ScalarLike) -> EquivalenceR
     weight = _check_size(config, g)
     r = config.ambient_rank
     alpha = Fraction(stabilization_threshold(r, int(weight)) + 1)
-    subspaces = point_spanned_subspaces(config)
-    semistable, stable = _alpha_verdicts(_subsystem_types(r, subspaces), weight, alpha)
+    flats = list(_flats(config))
+    semistable, stable = _alpha_verdicts(_subsystem_types(r, flats), weight, alpha)
     return EquivalenceReport(
-        git=_classify_subspaces(subspaces, weight),
+        git=_verdict(_best_point_spanned(flats, weight), weight),
         alpha=alpha,
         alpha_semistable=semistable,
         alpha_stable=stable,

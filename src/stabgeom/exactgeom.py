@@ -2,17 +2,16 @@
 
 Points, configurations, subspaces and transforms are immutable values
 stored in a canonical integer form, so equality is syntactic and every
-operation is a pure function. All arithmetic is exact and integral:
-coordinates, bases and transforms are integers. ``Fraction`` appears only
-where rationals are parsed (``parse_scalar``) or formatted
-(``format_scalar``) and in ``reduced_row_echelon``'s output.
+operation is a pure function. All arithmetic is exact and integral;
+``Fraction`` appears only where rationals are parsed (``parse_scalar``)
+or formatted (``format_scalar``) and in ``reduced_row_echelon``'s output.
 
-Rational rows are cleared to integers row by row (``_clear_row_to_ints``)
-and every basis comes from one fraction-free kernel, ``_extend_basis``:
-the reduced row echelon form, the echelon basis, the kernel, the inverse
-and a flat's basis, derived when read, are views of the primitive integer
-echelon basis it builds; span membership and images in a quotient by a
-flat use the same cross-multiplied row operations. ``rank`` is Bareiss.
+Every basis comes from one fraction-free kernel, ``_extend_basis``: the
+reduced row echelon form, the echelon basis, the kernel, the inverse and
+a flat's basis are views of the primitive integer echelon basis it
+builds. ``rank`` is Bareiss. The flats are enumerated by reverse search
+(``_flats``): each is generated once, from the flat its lex-first basis
+spans without its last point, so no table of the flats is kept.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import FrameDegenerateError, SchemaError
 
@@ -59,10 +58,15 @@ def format_scalar(value: ScalarLike) -> str:
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """Divide a nonzero integer vector by its content, leading entry made positive."""
+    for lead in ints:
+        if lead:
+            break
     g = math.gcd(*ints)
-    if next(v for v in ints if v) < 0:
+    if g == 1 and lead > 0:
+        return tuple(ints)
+    if lead < 0:
         g = -g
-    return tuple(v // g for v in ints)
+    return tuple([v // g for v in ints])
 
 
 def _canonical_int_vector(coords: Iterable[ScalarLike]) -> tuple[int, ...]:
@@ -417,65 +421,67 @@ class SpannedSubspace:
         return _echelon(self.rows[i] for i in self.members)[0]
 
 
-def point_spanned_subspaces(config: PointConfiguration) -> list[SpannedSubspace]:
-    """All proper subspaces spanned by nonempty subsets of the points.
+_Flat = tuple[int, tuple[int, ...]]
 
-    In matroid terms these are the flats of rank 1 to ambient_rank - 1:
-    point sets closed under linear span. They are built rank by rank from
-    the zero subspace, with repeated points collapsed. Each flat F keeps
-    the image in V/F of every distinct point outside it, a primitive
-    integer vector of length r - dim F. The flats one rank above F are the
-    classes of equal images, each holding F's members plus its class; a
-    flat reached twice is kept once, keyed by its members. Below the last
-    rank a new flat's images come from its parent's by one small
-    elimination per outside point. The cost is one such elimination per
-    (new flat, outside point) plus one dict lookup per incidence, not a
-    row reduction for each of the C(n, <= r - 1) subsets.
 
-    ``members`` lists every point index lying in the subspace, ascending.
-    No basis is built here: ``basis`` is derived from the member rows when
-    read. The list is ordered by dimension, then by ``members``. Ambient
-    rank 1 has no proper subspace and gives [].
+def _flats(config: PointConfiguration) -> Iterator[_Flat]:
+    """Yield (dim, members) once for every proper point-spanned subspace.
+
+    Reverse search (Avis and Fukuda, 1996), depth first, with repeated
+    points collapsed into groups. A flat F on the stack keeps the primitive
+    image in V/F of each distinct point outside it; its children, one rank
+    up, join F to a class of equal images and get their own images from
+    F's by one small elimination per outside point. A flat's canonical
+    parent is the span of its lex-first basis minus that basis's last
+    point, so F + class is canonical iff min(class) comes after F's last
+    point, and min(class) is then the child's last point. Skipping every
+    other child generates each flat once with no table of the flats seen;
+    the stack holds fewer than n pending flats per rank. ``members`` is
+    ascending. Ambient rank 1 yields nothing.
     """
     r = config.ambient_rank
-    rows = config.rows()
     # canonical coordinates make equal rows the same point
     indices: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(config.rows()):
         indices.setdefault(row, []).append(i)
     groups = list(indices.values())
     # the zero subspace, in whose quotient every point is its own image
-    level = [(frozenset(), dict(enumerate(indices)))]
-    out = []
-    for dim in range(1, r):
-        above: dict[frozenset[int], dict[int, tuple[int, ...]]] = {}
-        while level:  # popping frees each flat's images once its children are built
-            members, images = level.pop()
-            classes: dict[tuple[int, ...], list[int]] = {}
-            for d, image in images.items():
-                classes.setdefault(image, []).append(d)
-            for u, new in classes.items():
-                closure = members.union(new)
-                if closure in above:
-                    continue
-                # images in V/(F + u): clear u's pivot column, then drop it
-                child: dict[int, tuple[int, ...]] = {}
-                if dim < r - 1:
-                    q = _pivot(u)
-                    for d, w in images.items():
-                        if d not in closure:
-                            f = w[q]
-                            if f:
-                                w = _primitive([u[q] * x - f * y for x, y in zip(w, u)])
-                            child[d] = w[:q] + w[q + 1:]
-                above[closure] = child
-        level = list(above.items())
-        out += (
-            SpannedSubspace(dim, tuple(sorted(i for d in members for i in groups[d])), rows)
-            for members in above
-        )
-    out.sort(key=lambda sub: (sub.dim, sub.members))
-    return out
+    stack = [(0, (), -1, dict(enumerate(indices)))] if r > 1 else []
+    while stack:
+        dim, members, last, images = stack.pop()
+        dim += 1
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for d, image in images.items():
+            classes.setdefault(image, []).append(d)
+        # image dicts keep index order, so each class is ascending
+        for u, new in classes.items():
+            if new[0] < last:
+                continue
+            flat = tuple(sorted((*members, *(i for d in new for i in groups[d]))))
+            yield dim, flat
+            if dim == r - 1:
+                continue
+            # images in V/(F + u): clear u's pivot column, then drop it
+            q = _pivot(u)
+            lead = u[q]
+            child: dict[int, tuple[int, ...]] = {}
+            for d, w in images.items():
+                if w != u:  # the class's own points have image u
+                    f = w[q]
+                    if f:
+                        w = _primitive([lead * x - f * y for x, y in zip(w, u)])
+                    child[d] = w[:q] + w[q + 1:]
+            stack.append((dim, flat, new[0], child))
+
+
+def point_spanned_subspaces(config: PointConfiguration) -> list[SpannedSubspace]:
+    """All proper subspaces spanned by points: the flats of rank 1 to ambient_rank - 1.
+
+    They come from ``_flats``, ordered by dimension, then by ``members``;
+    ``basis`` is derived from the member rows when read. Rank 1 gives [].
+    """
+    rows = config.rows()
+    return [SpannedSubspace(dim, members, rows) for dim, members in sorted(_flats(config))]
 
 
 def _frame_transform(config: PointConfiguration) -> tuple[list[list[int]], list[int]]:

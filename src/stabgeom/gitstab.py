@@ -25,8 +25,9 @@ from .exactgeom import (
     PointConfiguration,
     ScalarLike,
     SpannedSubspace,
+    _Flat,
+    _flats,
     _rank_ints,
-    point_spanned_subspaces,
 )
 
 DEFAULT_ORACLE_CAP = 12
@@ -117,19 +118,18 @@ def _verdict(best: _Candidate | None, g: Fraction) -> StabilityVerdict:
     return StabilityVerdict(cls, witness, g, margin)
 
 
-def _best_point_spanned(
-    subspaces: Iterable[SpannedSubspace], g: Fraction
-) -> _Candidate | None:
-    """The subspace _prefer ranks first, compared in integers as q*k - p*s for g = p/q."""
+def _best_point_spanned(flats: Iterable[_Flat], g: Fraction) -> _Candidate | None:
+    """The (dim, members) flat _prefer ranks first, compared in integers as q*k - p*s for g = p/q."""
     p, q = g.numerator, g.denominator
     best = min(
-        subspaces,
-        key=lambda sub: (p * sub.dim - q * len(sub.members), len(sub.members), sub.members),
+        flats,
+        key=lambda flat: (p * flat[0] - q * len(flat[1]), len(flat[1]), flat[1]),
         default=None,
     )
     if best is None:
         return None
-    return _Candidate(len(best.members) - g * best.dim, len(best.members), best.members, best.dim)
+    dim, members = best
+    return _Candidate(len(members) - g * dim, len(members), members, dim)
 
 
 def classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:
@@ -140,14 +140,7 @@ def classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:
     index order. The verdict carries that margin.
     """
     weight = _coerce_weight(g)
-    return _classify_subspaces(point_spanned_subspaces(config), weight)
-
-
-def _classify_subspaces(
-    subspaces: Iterable[SpannedSubspace], g: Fraction
-) -> StabilityVerdict:
-    """classify on the already enumerated point-spanned subspaces of a configuration."""
-    return _verdict(_best_point_spanned(subspaces, g), g)
+    return _verdict(_best_point_spanned(_flats(config), weight), weight)
 
 
 def worst_subspace(
@@ -155,7 +148,7 @@ def worst_subspace(
 ) -> tuple[SpannedSubspace, Fraction]:
     """The proper point-spanned subspace maximizing (#points in W) - g*dim(W), with that margin."""
     weight = _coerce_weight(g)
-    best = _best_point_spanned(point_spanned_subspaces(config), weight)
+    best = _best_point_spanned(_flats(config), weight)
     if best is None:
         raise ValueError("no proper point-spanned subspace exists (ambient rank 1)")
     return SpannedSubspace(best.span, best.indices, config.rows()), best.margin

@@ -40,6 +40,56 @@ def gauss_rank(matrix) -> int:
     return len(rref(matrix)[1])
 
 
+def matroid_partition(rows, p, q=1):
+    """Edmonds' partition of the rows, each taken q times, into p independent sets.
+
+    J. Edmonds, "Minimum partition of a matroid into independent subsets",
+    J. Res. NBS 69B (1965). Copies are inserted one at a time; a copy x
+    that fits in no set directly goes in along a shortest exchange path
+    x -> y1 -> ..., where "y -> z" means y enters z's set and z leaves
+    it. Independence is ``gauss_rank`` alone, so this shares nothing with
+    the package. Returns ``(parts, None)``, each part a list of row
+    indices, or ``(None, violator)`` when some copy cannot go in: the
+    reachable copies T then have rank |T ∩ part| in every part, so
+    |T| = 1 + p * rank(T), and the points of T satisfy
+    q * |violator| > p * rank(violator).
+    """
+
+    def independent(copies):
+        return gauss_rank([rows[e // q] for e in copies]) == len(copies)
+
+    parts = [[] for _ in range(p)]
+    home = {}
+    for x in range(len(rows) * q):
+        came_from = {x: None}
+        queue = [x]
+        sink = None
+        for y in queue:  # breadth first: the queue grows while it is read
+            for j, part in enumerate(parts):
+                if home.get(y) == j:
+                    continue
+                if independent(part + [y]):
+                    sink = (y, j)
+                    break
+                for z in part:
+                    if z not in came_from and independent([w for w in part if w != z] + [y]):
+                        came_from[z] = y
+                        queue.append(z)
+            if sink:
+                break
+        if sink is None:
+            return None, sorted({e // q for e in came_from})
+        y, j = sink
+        while y is not None:  # y enters part j, leaving its own part to the copy before it
+            old = home.get(y)
+            if old is not None:
+                parts[old].remove(y)
+            parts[j].append(y)
+            home[y] = j
+            y, j = came_from[y], old
+    return [sorted(e // q for e in part) for part in parts], None
+
+
 # Distinct parameter ratios (t : u); five of them decide any identity of
 # degree at most four along a parametrized line.
 _LINE_PARAMS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))

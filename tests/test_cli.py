@@ -105,14 +105,14 @@ class TestSingleEnumeration:
         import stabgeom.gitstab
 
         calls = []
-        original = stabgeom.gitstab.point_spanned_subspaces
+        original = stabgeom.gitstab._flats
 
         def counted(config):
             calls.append(config)
             return original(config)
 
-        monkeypatch.setattr(stabgeom.gitstab, "point_spanned_subspaces", counted)
-        monkeypatch.setattr(stabgeom.cohsys, "point_spanned_subspaces", counted)
+        monkeypatch.setattr(stabgeom.gitstab, "_flats", counted)
+        monkeypatch.setattr(stabgeom.cohsys, "_flats", counted)
         code, _, _ = cli(argv + ["--input", config_file(TRIPLE_ROWS)])
         assert code == 0
         assert len(calls) == 1

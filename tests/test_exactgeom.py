@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical forms, rank, spans, kernels, transforms."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,8 +23,10 @@ from stabgeom import (
 from stabgeom.exactgeom import (
     SpannedSubspace,
     _canonical_int_vector,
+    _flats,
     _frame_transform,
     _inverse_ints,
+    _primitive,
     _rank_ints,
     echelon_basis,
     in_span,
@@ -153,6 +156,49 @@ class TestProjectivePoint:
         if not any(coords) or scale == 0:
             return
         assert ProjectivePoint(coords) == ProjectivePoint([scale * c for c in coords])
+
+
+def primitive_by_definition(ints):
+    """Divide by the content, then flip the sign so the first nonzero entry is positive."""
+    content = 0
+    for v in ints:
+        content = math.gcd(content, v)
+    divided = [Fraction(v, content) for v in ints]
+    if next(v for v in divided if v) < 0:
+        divided = [-v for v in divided]
+    assert all(v.denominator == 1 for v in divided)
+    return tuple(int(v) for v in divided)
+
+
+class TestPrimitive:
+    @given(
+        st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=1, max_size=7)
+        .filter(any),
+        st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+    )
+    @example([3, -4], 1)
+    def test_matches_the_definition(self, ints, scale):
+        for vector in (ints, [scale * v for v in ints]):
+            got = _primitive(vector)
+            assert type(got) is tuple
+            assert got == primitive_by_definition(vector)
+
+    @pytest.mark.parametrize(
+        "ints, expected",
+        [
+            ([0, -3, 5], (0, 3, -5)),  # content 1, negative lead
+            ([0, 3, -5], (0, 3, -5)),  # content 1, positive lead: returned as it is
+            ([6 * 10**40, -9 * 10**40, 0], (2, -3, 0)),  # large common factor
+            ([-14 * 10**40, 0, 21 * 10**40], (2, 0, -3)),
+            ([-7], (1,)),  # single entry
+            ([12], (1,)),
+            ((0, 0, 1), (0, 0, 1)),
+        ],
+    )
+    def test_explicit_cases(self, ints, expected):
+        got = _primitive(ints)
+        assert type(got) is tuple
+        assert got == expected
 
 
 class TestConfigurationSchema:
@@ -442,6 +488,15 @@ class TestPointSpannedSubspaces:
     @example(config_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1)))
     def test_flats_match_independent_rank_reference(self, config):
         assert_flats_match_reference(config)
+
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_configurations())
+    @example(config_of(*[(1, 2, 0, -1)] * 7))
+    @example(config_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1)))
+    def test_reverse_search_yields_each_flat_once(self, config):
+        flats = list(_flats(config))
+        assert len({members for _, members in flats}) == len(flats)
+        assert sorted(flats) == [(s.dim, s.members) for s in point_spanned_subspaces(config)]
 
     def test_rank_six_matches_the_reference_on_seeded_draws(self):
         # rank 6 is past the hypothesis test's range; its own rng stream

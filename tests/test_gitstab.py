@@ -1,10 +1,13 @@
 """Span-criterion stability: known verdicts, witnesses, and the oracle."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabgeom import (
     StabilityClass,
@@ -15,7 +18,7 @@ from stabgeom import (
 )
 from stabgeom.randconf import random_configuration, random_transform
 
-from helpers import config_of, triple_point_config
+from helpers import config_of, gauss_rank, matroid_partition, triple_point_config
 
 
 class TestKnownVerdicts:
@@ -175,9 +178,9 @@ class TestOracleAgreement:
         def forbidden(*args):
             raise AssertionError("the oracle must stay independent of the flat enumeration")
 
-        for name in ("_extend_basis", "_echelon", "point_spanned_subspaces"):
+        for name in ("_extend_basis", "_echelon", "_flats", "point_spanned_subspaces"):
             monkeypatch.setattr(stabgeom.exactgeom, name, forbidden)
-        monkeypatch.setattr(stabgeom.gitstab, "point_spanned_subspaces", forbidden)
+        monkeypatch.setattr(stabgeom.gitstab, "_flats", forbidden)
         ranked = []
         original = stabgeom.gitstab._rank_ints
 
@@ -216,3 +219,64 @@ class TestOracleCap:
         monkeypatch.setenv("STAB_MAX_SUBSET_SIZE", "lots")
         with pytest.raises(ValueError):
             oracle_classify(config, 2)
+
+
+@st.composite
+def weighted_configurations(draw):
+    """(config, g) with r <= 5 and n = r*g <= 20, g = p/q, mixing repeats and collinear points."""
+    r = draw(st.integers(min_value=1, max_value=5))
+    q = draw(st.sampled_from([d for d in range(1, r + 1) if r % d == 0]))
+    p = draw(st.integers(min_value=1, max_value=20 * q // r).filter(lambda p: math.gcd(p, q) == 1))
+    small = st.integers(min_value=-3, max_value=3)
+    rows = []
+    for _ in range(r * p // q):
+        kind = draw(st.sampled_from(("random", "repeat", "collinear")))
+        if kind == "repeat" and rows:
+            row = draw(st.sampled_from(rows))
+        elif kind == "collinear" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = [draw(small) * x + draw(small) * y for x, y in zip(a, b)]
+        else:
+            row = draw(st.lists(small, min_size=r, max_size=r))
+        rows.append(row if any(row) else [1] + [0] * (r - 1))
+    return config_of(*rows), Fraction(p, q)
+
+
+def assert_partition_certificate(config, g):
+    """classify is semistable iff Edmonds' algorithm splits the points into g bases.
+
+    For g = p/q each point is taken q times and split into p bases. Either
+    outcome is checked as a certificate with ``gauss_rank``. Strict
+    stability is not a covering condition, so on a violator S only the
+    sign of the margin is asserted.
+    """
+    rows, r = config.rows(), config.ambient_rank
+    p, q = g.numerator, g.denominator
+    verdict = classify(config, g)
+    parts, violator = matroid_partition(rows, p, q)
+    if parts is not None:
+        assert verdict.is_semistable
+        assert Counter(i for part in parts for i in part) == dict.fromkeys(range(len(rows)), q)
+        assert all(len(part) == r == gauss_rank([rows[i] for i in part]) for part in parts)
+    else:
+        assert q * len(violator) > p * gauss_rank([rows[i] for i in violator])
+        assert verdict.margin > 0
+    return verdict.classification
+
+
+class TestMatroidPartitionCertificate:
+    """Edmonds' covering theorem: with n = r*g, semistable iff the points split into g bases."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_configurations())
+    def test_semistable_iff_the_points_split_into_bases(self, case):
+        assert_partition_certificate(*case)
+
+    def test_seeded_degenerate_cases_at_rank_six_and_seven(self):
+        # past the oracle's 12-point cap; one rng stream
+        rng = random.Random(0)
+        seen = {
+            assert_partition_certificate(random_configuration(rng, r, r * g), Fraction(g))
+            for r, g in ((6, 3), (6, 4), (7, 3))
+        }
+        assert seen == set(StabilityClass)
