@@ -11,7 +11,6 @@ from .cohsys import (
     CriticalValueSet,
     EquivalenceReport,
     SystemType,
-    alpha_semistable_config,
     alpha_slope,
     critical_values,
     destabilizing_example_config,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import SizeMismatchError
 from .exactgeom import (
@@ -20,6 +20,8 @@ from .exactgeom import (
     ScalarLike,
     _Flat,
     _flats,
+    format_scalar,
+    parse_scalar,
 )
 from .gitstab import StabilityVerdict, _best_point_spanned, _verdict
 
@@ -47,12 +49,12 @@ class CriticalValueSet:
     generating_type: SystemType
 
     def __contains__(self, alpha: ScalarLike) -> bool:
-        return Fraction(alpha) in self.values
+        return parse_scalar(alpha) in self.values
 
 
 def alpha_slope(t: SystemType, alpha: ScalarLike) -> Fraction:
     """mu_alpha = d/r + alpha * k/r."""
-    a = Fraction(alpha)
+    a = parse_scalar(alpha)
     return Fraction(t.d, t.r) + a * Fraction(t.k, t.r)
 
 
@@ -64,27 +66,26 @@ def critical_values(
 ) -> CriticalValueSet:
     """Positive alpha where some subsystem type (s, d', k') matches the slope of t.
 
-    Enumerates 1 <= s <= r-1, 0 <= d' <= degree_bound (default d),
+    Ranges over 1 <= s <= r-1, 0 <= d' <= degree_bound (default d),
     0 <= k' <= section_bound (default k), skipping k'/s == k/r where no
-    finite wall exists.
+    finite wall exists. The wall is (s*d - r*d') / (r*k' - s*k), so only
+    the d' on the side of s*d/r that makes it positive are visited.
     """
     d_max = t.d if degree_bound is None else degree_bound
     k_max = t.k if section_bound is None else section_bound
     if d_max < 0 or k_max < 0:
         raise ValueError("bounds must be nonnegative")
-    full_ratio = Fraction(t.k, t.r)
-    full_slope0 = Fraction(t.d, t.r)
     found: set[Fraction] = set()
     for s in range(1, t.r):
-        for kp in range(0, k_max + 1):
-            ratio = Fraction(kp, s)
-            if ratio == full_ratio:
+        for kp in range(k_max + 1):
+            den = t.r * kp - s * t.k
+            if den > 0:  # positive for r*d' < s*d
+                dps = range(min(d_max, (s * t.d - 1) // t.r) + 1)
+            elif den < 0:  # positive for r*d' > s*d
+                dps = range(s * t.d // t.r + 1, d_max + 1)
+            else:
                 continue
-            denom = ratio - full_ratio
-            for dp in range(0, d_max + 1):
-                alpha = (full_slope0 - Fraction(dp, s)) / denom
-                if alpha > 0:
-                    found.add(alpha)
+            found.update(Fraction(s * t.d - t.r * dp, den) for dp in dps)
     return CriticalValueSet(values=tuple(sorted(found)), generating_type=t)
 
 
@@ -101,19 +102,26 @@ def subsystem_types_from_config(config: PointConfiguration) -> list[SystemType]:
     d_max(s) is the largest number of configuration points lying in a
     common subspace of linear dimension at most s.
     """
-    return _subsystem_types(config.ambient_rank, _flats(config))
+    most = [0] * config.ambient_rank
+    for _ in _recorded(_flats(config), most):
+        pass
+    return _subsystem_types(most)
 
 
-def _subsystem_types(r: int, flats: Iterable[_Flat]) -> list[SystemType]:
-    """The types (s, d_max(s), s) from one pass over the (dim, members) flats."""
-    most = [0] * r
+def _recorded(flats: Iterable[_Flat], most: list[int]) -> Iterator[_Flat]:
+    """Pass the (dim, members) flats on, keeping the largest member count per dim in most."""
     for dim, members in flats:
         most[dim] = max(most[dim], len(members))
-    return [SystemType(s, max(most[: s + 1]), s) for s in range(1, r)]
+        yield dim, members
+
+
+def _subsystem_types(most: list[int]) -> list[SystemType]:
+    """The types (s, d_max(s), s) from the largest member count per dim."""
+    return [SystemType(s, max(most[: s + 1]), s) for s in range(1, len(most))]
 
 
 def _check_size(config: PointConfiguration, g: ScalarLike) -> Fraction:
-    weight = Fraction(g)
+    weight = parse_scalar(g)
     if weight <= 0 or weight.denominator != 1:
         raise ValueError("g must be a positive integer")
     if len(config) != config.ambient_rank * weight:
@@ -124,7 +132,7 @@ def _check_size(config: PointConfiguration, g: ScalarLike) -> Fraction:
 
 
 def _check_alpha(alpha: ScalarLike) -> Fraction:
-    a = Fraction(alpha)
+    a = parse_scalar(alpha)
     if a <= 0:
         raise ValueError("alpha must be positive")
     return a
@@ -136,15 +144,6 @@ def _alpha_verdicts(
     """(semistable, stable): every type has d/s + alpha <= g + alpha, resp. <."""
     slopes = [alpha_slope(t, a) for t in types]
     return all(m <= weight + a for m in slopes), all(m < weight + a for m in slopes)
-
-
-def alpha_semistable_config(
-    config: PointConfiguration, g: ScalarLike, alpha: ScalarLike
-) -> bool:
-    """Whether every span-derived subsystem type satisfies d/s + alpha <= g + alpha."""
-    weight = _check_size(config, g)
-    a = _check_alpha(alpha)
-    return _alpha_verdicts(subsystem_types_from_config(config), weight, a)[0]
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,6 @@ class EquivalenceReport:
         )
 
     def to_json(self) -> dict:
-        from .exactgeom import format_scalar
-
         return {
             "git_class": self.git.classification.value,
             "alpha": format_scalar(self.alpha),
@@ -179,16 +176,18 @@ def equivalence_check(config: PointConfiguration, g: ScalarLike) -> EquivalenceR
     """Compare the span-criterion verdict with the alpha test past the threshold.
 
     Uses alpha = g*(r-1) + 1, strictly above every wall the span-derived
-    types can produce, so the comparison is wall-free. Both routes share
-    one enumeration of the point-spanned subspaces.
+    types can produce, so the comparison is wall-free. Both routes read
+    one stream of the point-spanned subspaces: the worst flat is picked
+    while the largest member count per dimension is recorded.
     """
     weight = _check_size(config, g)
     r = config.ambient_rank
     alpha = Fraction(stabilization_threshold(r, int(weight)) + 1)
-    flats = list(_flats(config))
-    semistable, stable = _alpha_verdicts(_subsystem_types(r, flats), weight, alpha)
+    most = [0] * r
+    git = _verdict(_best_point_spanned(_recorded(_flats(config), most), weight), weight)
+    semistable, stable = _alpha_verdicts(_subsystem_types(most), weight, alpha)
     return EquivalenceReport(
-        git=_verdict(_best_point_spanned(flats, weight), weight),
+        git=git,
         alpha=alpha,
         alpha_semistable=semistable,
         alpha_stable=stable,
@@ -216,7 +215,7 @@ def destabilizing_example_config(
     if lambdas is None:
         values = [Fraction(i) for i in range(1, genus + 2)]
     else:
-        values = [Fraction(l) for l in lambdas]
+        values = [parse_scalar(l) for l in lambdas]
     if len(values) != genus + 1:
         raise ValueError(f"need exactly {genus + 1} lambda values")
     if any(v == 0 for v in values):

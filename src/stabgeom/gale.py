@@ -21,7 +21,9 @@ from .exactgeom import (
     ProjectivePoint,
     _clear_row_to_ints,
     _primitive,
+    format_scalar,
     kernel_basis,
+    parse_scalar,
     projectively_equivalent,
     rank,
 )
@@ -75,8 +77,6 @@ class GaleData:
         return projectively_equivalent(self.source, self.target) is not None
 
     def to_json(self) -> dict:
-        from .exactgeom import format_scalar
-
         return {
             "source": self.source.to_json_dict(),
             "target": self.target.to_json_dict(),
@@ -159,7 +159,7 @@ def on_smooth_conic(config: PointConfiguration) -> bool:
 
 def conic_parameter_points(params: list) -> PointConfiguration:
     """Points [t : t^2 : 1] on the smooth conic y*z = x^2, one per parameter."""
-    values = [Fraction(t) for t in params]
+    values = [parse_scalar(t) for t in params]
     if len(set(values)) != len(values):
         raise ValueError("parameters must be pairwise distinct")
     return PointConfiguration(3, [ProjectivePoint([t, t * t, 1]) for t in values])

@@ -28,6 +28,7 @@ from .exactgeom import (
     _Flat,
     _flats,
     _rank_ints,
+    parse_scalar,
 )
 
 DEFAULT_ORACLE_CAP = 12
@@ -81,35 +82,22 @@ class StabilityVerdict:
         return self.classification is StabilityClass.STABLE
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    margin: Fraction
-    size: int
-    indices: tuple[int, ...]
-    span: int
-
-
-def _prefer(a: _Candidate, b: _Candidate) -> bool:
-    """Whether a beats b as the reported witness: worst margin, then smallest, then lex."""
-    if a.margin != b.margin:
-        return a.margin > b.margin
-    if a.size != b.size:
-        return a.size < b.size
-    return a.indices < b.indices
-
-
 def _coerce_weight(g: ScalarLike) -> Fraction:
-    weight = Fraction(g)
+    weight = parse_scalar(g)
     if weight <= 0:
         raise ValueError("weight g must be positive")
     return weight
 
 
-def _verdict(best: _Candidate | None, g: Fraction) -> StabilityVerdict:
-    margin = None if best is None else best.margin
-    if margin is None or margin < 0:
+def _verdict(best: _Flat | None, g: Fraction) -> StabilityVerdict:
+    """The verdict for the worst (dim, members) subset: its margin k - g*s and witness."""
+    if best is None:
+        return StabilityVerdict(StabilityClass.STABLE, None, g, None)
+    dim, members = best
+    margin = len(members) - g * dim
+    if margin < 0:
         return StabilityVerdict(StabilityClass.STABLE, None, g, margin)
-    witness = Witness(indices=best.indices, span_dim=best.span, size=best.size)
+    witness = Witness(indices=members, span_dim=dim, size=len(members))
     cls = (
         StabilityClass.UNSTABLE
         if margin > 0
@@ -118,18 +106,14 @@ def _verdict(best: _Candidate | None, g: Fraction) -> StabilityVerdict:
     return StabilityVerdict(cls, witness, g, margin)
 
 
-def _best_point_spanned(flats: Iterable[_Flat], g: Fraction) -> _Candidate | None:
-    """The (dim, members) flat _prefer ranks first, compared in integers as q*k - p*s for g = p/q."""
+def _best_point_spanned(flats: Iterable[_Flat], g: Fraction) -> _Flat | None:
+    """The worst flat: largest margin k - g*s, then smallest, then lex; q*k - p*s for g = p/q."""
     p, q = g.numerator, g.denominator
-    best = min(
+    return min(
         flats,
         key=lambda flat: (p * flat[0] - q * len(flat[1]), len(flat[1]), flat[1]),
         default=None,
     )
-    if best is None:
-        return None
-    dim, members = best
-    return _Candidate(len(members) - g * dim, len(members), members, dim)
 
 
 def classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:
@@ -151,7 +135,8 @@ def worst_subspace(
     best = _best_point_spanned(_flats(config), weight)
     if best is None:
         raise ValueError("no proper point-spanned subspace exists (ambient rank 1)")
-    return SpannedSubspace(best.span, best.indices, config.rows()), best.margin
+    dim, members = best
+    return SpannedSubspace(dim, members, config.rows()), len(members) - weight * dim
 
 
 def oracle_classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:
@@ -175,15 +160,17 @@ def oracle_classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdi
         )
     r = config.ambient_rank
     rows = config.rows()
-    best: _Candidate | None = None
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            s = _rank_ints([list(rows[i]) for i in combo])
-            if s >= r:
-                continue
-            cand = _Candidate(
-                margin=size - weight * s, size=size, indices=combo, span=s
-            )
-            if best is None or _prefer(cand, best):
-                best = cand
-    return _verdict(best, weight)
+    proper = (
+        (s, combo)
+        for size in range(1, n + 1)
+        for combo in combinations(range(n), size)
+        if (s := _rank_ints([list(rows[i]) for i in combo])) < r
+    )
+    # the worst subset, ranked as classify ranks flats, in integers for g = p/q
+    p, q = weight.numerator, weight.denominator
+    worst = min(
+        proper,
+        key=lambda subset: (p * subset[0] - q * len(subset[1]), len(subset[1]), subset[1]),
+        default=None,
+    )
+    return _verdict(worst, weight)

@@ -126,6 +126,28 @@ def pencil_member():
     return a * q1 + b * q2
 
 
+def scan_walls(r, d, k, d_max, k_max):
+    """Every positive wall by the full scan: all s, k' and d' in range, Fractions throughout.
+
+    The reference for ``critical_values``, which visits only the d' that
+    give a positive wall.
+    """
+    full_ratio = Fraction(k, r)
+    full_slope0 = Fraction(d, r)
+    found = set()
+    for s in range(1, r):
+        for kp in range(0, k_max + 1):
+            ratio = Fraction(kp, s)
+            if ratio == full_ratio:
+                continue
+            denom = ratio - full_ratio
+            for dp in range(0, d_max + 1):
+                alpha = (full_slope0 - Fraction(dp, s)) / denom
+                if alpha > 0:
+                    found.add(alpha)
+    return found
+
+
 def sign_paired_by_matching(coords) -> bool:
     """Whether some perfect matching pairs the coordinates up to sign.
 

@@ -20,6 +20,7 @@ from stabgeom import (
 )
 from stabgeom.cli import main
 from stabgeom.modhyp import DualityReport
+from stabgeom.randconf import random_configuration
 from stabgeom.verify import CheckResult, VerificationReport
 
 from helpers import collinear_target_six_config, standard_six_config, triple_point_config
@@ -453,6 +454,178 @@ class TestHypersurfaceGoldenBytes:
         assert code == 0
         assert err == ""
         assert payload(out)["passed"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+FOUR_ON_A_LINE_ROWS = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 1, 0], [0, 0, 1], [1, 1, 1]]
+
+
+def _degenerate_rows(r, n):
+    """n seeded points of P^(r-1) with repeats and collinear triples."""
+    config = random_configuration(random.Random(f"stab-{r}-{n}"), r, n)
+    return [list(p.coords) for p in config.points]
+
+
+class TestStabilityGoldenBytes:
+    """SHA-256 of the stability commands' stdout: the CLI bytes are a fixed contract."""
+
+    @pytest.mark.parametrize(
+        "argv, rows, digest",
+        [
+            pytest.param(
+                ["git-classify", "--g", "2"], TRIPLE_ROWS,
+                "d294b7c78c4a98338accee7618b4dc088d13b53a0b8f0cd9c7f25ebaca688c2f",
+                id="classify-triple-unstable",
+            ),
+            pytest.param(
+                ["git-classify", "--g", "2"],
+                [list(p.coords) for p in standard_six_config().points],
+                "73c51c8b5b0c36b216f8f7adf28296db3c067dee6d6b57322cf9b5c0733016ca",
+                id="classify-six-stable",
+            ),
+            pytest.param(
+                ["git-classify", "--g", "2"], FOUR_ON_A_LINE_ROWS,
+                "b9f4b0882fc0fb471d38055cd77f4532bfe265572a34e40dd2c046fe9182f500",
+                id="classify-line-semistable",
+            ),
+            pytest.param(
+                ["git-classify", "--g", "3"], FOUR_ON_A_LINE_ROWS,
+                "364753c6a5f3da3fa00bc086107f89f5c37bac76d24a528d6654a15a8b5663e6",
+                id="classify-line-g3",
+            ),
+            pytest.param(
+                ["git-classify", "--g", "3/2"], [[1, 0], [1, 0], [0, 1], [1, 1]],
+                "d7861038f41263fb9b5fc2d0368b8ff304dfe317a45d0d3fa9a287c5e902778d",
+                id="classify-line-g3/2",
+            ),
+            pytest.param(
+                ["git-classify", "--g", "2"], [[1], [1]],
+                "f566b6d2406185ce92a70cea8bfc41429b3ea5fc5f75d61b09454b1db501176a",
+                id="classify-rank-one",
+            ),
+            pytest.param(
+                ["git-classify", "--g", "2"], _degenerate_rows(4, 12),
+                "a68cf19d9999d4be54058b61d483ee144ea5721bcd547212cdc5e946b2f20578",
+                id="classify-seeded-4-12-g2",
+            ),
+            pytest.param(
+                ["git-classify", "--g", "3/2"], _degenerate_rows(4, 12),
+                "b04f2685348097b506a6b1ff11ce8073da4a79c02d9fd5d4c3fcf75ff7ad0567",
+                id="classify-seeded-4-12-g3/2",
+            ),
+            pytest.param(
+                ["git-classify", "--g", "3/2"], _degenerate_rows(3, 10),
+                "bc1445a4744efb73879ed98d47377dde0297a3605eba13071d2c4af94ebb95ea",
+                id="classify-seeded-3-10-g3/2",
+            ),
+            pytest.param(
+                ["equivalence", "--g", "2"],
+                [list(p.coords) for p in standard_six_config().points],
+                "7db9d3d3568a1e35a701e3319cba0c09ad381f3a1dae69d8d6d5af22e1924516",
+                id="equivalence-six",
+            ),
+            pytest.param(
+                ["equivalence", "--g", "2"], FOUR_ON_A_LINE_ROWS,
+                "35984fadd4922b829b06b79a5c8bcf1bf9deeb296670ce6777350f35b2ec62af",
+                id="equivalence-line",
+            ),
+            pytest.param(
+                ["equivalence", "--g", "2"], TRIPLE_ROWS,
+                "412acac7bf04509b7081ce274433a3876f169c7dd153f58f97c96dcd548a8b45",
+                id="equivalence-triple",
+            ),
+            pytest.param(
+                ["equivalence", "--g", "3"], _degenerate_rows(3, 9),
+                "b00cb7a4988f532ff6150493ae6b9f226e9eb6ca7635d08dae97b919d2d71129",
+                id="equivalence-seeded-3-9",
+            ),
+            pytest.param(
+                ["equivalence", "--g", "2"], _degenerate_rows(4, 8),
+                "1fb9c68da03d18ee0e89652f3c193ffa0d0e6f6849d514170e8c132ed9e1bb9c",
+                id="equivalence-seeded-4-8",
+            ),
+            pytest.param(
+                ["alpha-check", "--g", "2", "--alpha", "1"], TRIPLE_ROWS,
+                "f48fefcfe77a425d6e0dcdac2f0b88fde0777dfaf68890acd73d433ac9b05769",
+                id="alpha-triple",
+            ),
+            pytest.param(
+                ["alpha-check", "--g", "2", "--alpha", "7/2"],
+                [list(p.coords) for p in standard_six_config().points],
+                "c26e9bf0e0b0b9e5fe3a66f0804653cc48c75316a66dc8ac5b98ba33650cce7f",
+                id="alpha-six",
+            ),
+            pytest.param(
+                ["alpha-check", "--g", "2", "--alpha", "5"], FOUR_ON_A_LINE_ROWS,
+                "1eb023fa51efe68481717815fe8714d23f43b3dc5c4cb592772e557b4ec548ac",
+                id="alpha-line",
+            ),
+            pytest.param(
+                ["alpha-check", "--g", "3", "--alpha", "1/3"], _degenerate_rows(3, 9),
+                "895c00b8af90e265bf247e175b7a86f1f50040a44a7fc86a1e404f7f33b148eb",
+                id="alpha-seeded-3-9",
+            ),
+            pytest.param(
+                ["critical-values", "-r", "2", "-d", "4", "-k", "2"], None,
+                "4865b6f5f5517c644feab20661d9ebece38a1ef0889a52c471be3fad444510e9",
+                id="walls-2-4-2",
+            ),
+            pytest.param(
+                ["critical-values", "-r", "3", "-d", "4", "-k", "3"], None,
+                "7e2d3353733b119c666adc00296bce6fb7b36f74a3b65c16bbcff699b8b0b6c6",
+                id="walls-3-4-3",
+            ),
+            pytest.param(
+                ["critical-values", "-r", "5", "-d", "17", "-k", "3"], None,
+                "b00ccfd2f00b9e1ab53e714849f0a9fe61b9aeeec6ce86aa2a66fb9e421da690",
+                id="walls-5-17-3",
+            ),
+            pytest.param(
+                ["critical-values", "-r", "1", "-d", "5", "-k", "2"], None,
+                "f74498097708215ee46031db7467ce3abed880ed8188eff156e81993d9787e31",
+                id="walls-rank-one",
+            ),
+            pytest.param(
+                ["critical-values", "-r", "2", "-d", "4", "-k", "2", "--degree-bound", "30"],
+                None,
+                "312c6e8ea84fa374b3a58e55d186a529daedc8685771c42a26b27c98de85e501",
+                id="walls-2-4-2-degree-30",
+            ),
+            pytest.param(
+                ["critical-values", "-r", "3", "-d", "7", "-k", "2", "--degree-bound", "0"],
+                None,
+                "d86acfff3452e1a0e95afffdd9f63592ce4ddfcb06f26f4c140435bf10af3907",
+                id="walls-3-7-2-degree-0",
+            ),
+            pytest.param(
+                ["critical-values", "-r", "2", "-d", "4", "-k", "2", "--section-bound", "0"],
+                None,
+                "4865b6f5f5517c644feab20661d9ebece38a1ef0889a52c471be3fad444510e9",
+                id="walls-2-4-2-section-0",
+            ),
+            pytest.param(
+                ["critical-values", "-r", "4", "-d", "9", "-k", "3", "--section-bound", "7"],
+                None,
+                "263ddd053c76442ac53fa8c6882b70a26e4a7f2e57f682dbc17dab9681fc1733",
+                id="walls-4-9-3-section-7",
+            ),
+            pytest.param(
+                [
+                    "critical-values", "-r", "4", "-d", "10", "-k", "5",
+                    "--degree-bound", "25", "--section-bound", "9",
+                ],
+                None,
+                "201d179afac1eb6033ff93fe9d27d2aa5eb2e0158c0e96c2ec74e07ad1cfe3b4",
+                id="walls-4-10-5-both-bounds",
+            ),
+        ],
+    )
+    def test_stdout_bytes(self, cli, config_file, argv, rows, digest):
+        if rows is not None:
+            argv = argv + ["--input", config_file(rows)]
+        code, out, err = cli(argv)
+        assert code == 0
+        assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

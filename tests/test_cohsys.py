@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabgeom import (
+    SchemaError,
     SizeMismatchError,
     StabilityClass,
     SystemType,
     classify,
-    alpha_semistable_config,
     alpha_slope,
     critical_values,
     destabilizing_example_config,
@@ -22,23 +22,7 @@ from stabgeom import (
 )
 from stabgeom.cli import main
 
-from helpers import config_of, standard_six_config, triple_point_config
-
-
-def brute_walls(t: SystemType, d_max: int, k_max: int) -> set:
-    """Wall set recomputed from the slope equality, arranged differently."""
-    out = set()
-    for s in range(1, t.r):
-        for dp in range(d_max + 1):
-            for kp in range(k_max + 1):
-                num = Fraction(dp, s) - Fraction(t.d, t.r)
-                den = Fraction(t.k, t.r) - Fraction(kp, s)
-                if den == 0:
-                    continue
-                alpha = num / den
-                if alpha > 0:
-                    out.add(alpha)
-    return out
+from helpers import config_of, scan_walls, standard_six_config, triple_point_config
 
 
 class TestSystemType:
@@ -69,19 +53,25 @@ class TestCriticalValues:
         assert all(v > 0 for v in walls.values)
 
     @given(
-        st.integers(min_value=2, max_value=4),
-        st.integers(min_value=0, max_value=8),
-        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=13),
+        st.integers(min_value=0, max_value=7),
+        st.sampled_from([None, 0, 1, 5, 20]),
+        st.sampled_from([None, 0, 3, 9]),
     )
-    @settings(max_examples=60)
-    def test_matches_brute_force_recompute(self, r, d, k):
-        t = SystemType(r, d, k)
-        assert set(critical_values(t).values) == brute_walls(t, d, k)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_recompute(self, r, d, k, degree_bound, section_bound):
+        walls = critical_values(
+            SystemType(r, d, k), degree_bound=degree_bound, section_bound=section_bound
+        )
+        d_max = d if degree_bound is None else degree_bound
+        k_max = k if section_bound is None else section_bound
+        assert set(walls.values) == scan_walls(r, d, k, d_max, k_max)
 
     def test_bounds_override_the_enumeration(self):
         t = SystemType(2, 4, 2)
         assert set(critical_values(t, degree_bound=8, section_bound=2).values) == \
-            brute_walls(t, 8, 2)
+            scan_walls(2, 4, 2, 8, 2)
         with pytest.raises(ValueError):
             critical_values(t, degree_bound=-1)
 
@@ -115,10 +105,10 @@ class TestSubsystemTypes:
         assert subsystem_types_from_config(config_of((1,), (2,))) == []
 
 
-def alpha_check(capsys, config_file, config, alpha):
-    """Exit code and parsed output (stdout, or stderr on failure) of `stab alpha-check --g 2`."""
+def alpha_check(capsys, config_file, config, alpha, g=2):
+    """Exit code and parsed output (stdout, or stderr on failure) of `stab alpha-check`."""
     path = config_file([list(p.coords) for p in config.points])
-    code = main(["alpha-check", "--g", "2", "--alpha", str(alpha), "--input", path])
+    code = main(["alpha-check", "--g", str(g), "--alpha", str(alpha), "--input", path])
     captured = capsys.readouterr()
     return code, json.loads(captured.out if code == 0 else captured.err)
 
@@ -127,35 +117,31 @@ class TestAlphaStability:
     def test_generic_six_is_alpha_stable(self, capsys, config_file):
         config = standard_six_config()
         for alpha in (Fraction(1, 2), 1, 3, 10):
-            assert alpha_semistable_config(config, 2, alpha)
             code, data = alpha_check(capsys, config_file, config, alpha)
-            assert code == 0 and data["stable"] is True
+            assert code == 0 and data["semistable"] is True and data["stable"] is True
 
-    def test_triple_point_is_never_alpha_semistable(self):
+    def test_triple_point_is_never_alpha_semistable(self, capsys, config_file):
         config = triple_point_config()
         for alpha in (Fraction(1, 2), 1, 5):
-            assert not alpha_semistable_config(config, 2, alpha)
+            code, data = alpha_check(capsys, config_file, config, alpha)
+            assert code == 0 and data["semistable"] is False
 
     def test_four_on_a_line_is_semistable_not_stable(self, capsys, config_file):
         config = config_of(
             (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1), (1, 1, 1)
         )
-        assert alpha_semistable_config(config, 2, 5)
         code, data = alpha_check(capsys, config_file, config, 5)
-        assert code == 0 and data["stable"] is False
+        assert code == 0 and data["semistable"] is True and data["stable"] is False
 
     def test_argument_validation(self, capsys, config_file):
         config = standard_six_config()
-        with pytest.raises(ValueError):
-            alpha_semistable_config(config, 2, 0)
-        assert alpha_check(capsys, config_file, config, -1) == (
-            2,
-            {"error": {"type": "ValueError", "message": "alpha must be positive"}},
-        )
-        with pytest.raises(ValueError):
-            alpha_semistable_config(config, Fraction(3, 2), 1)
-        with pytest.raises(SizeMismatchError):
-            alpha_semistable_config(config, 3, 1)
+        for g, alpha, error in (
+            (2, 0, {"type": "ValueError", "message": "alpha must be positive"}),
+            (2, -1, {"type": "ValueError", "message": "alpha must be positive"}),
+            ("3/2", 1, {"type": "ValueError", "message": "g must be a positive integer"}),
+            (3, 1, {"type": "SizeMismatchError", "message": "expected r*g = 3*3 points, got 6"}),
+        ):
+            assert alpha_check(capsys, config_file, config, alpha, g) == (2, {"error": error})
 
 
 class TestEquivalence:
@@ -192,6 +178,26 @@ class TestEquivalence:
     def test_size_mismatch_rejected(self):
         with pytest.raises(SizeMismatchError):
             equivalence_check(config_of((1, 0), (0, 1), (1, 1)), 2)
+
+
+class TestRationalArguments:
+    """Weights, slopes and lambdas are parsed like coordinates: no bool, float or decimal."""
+
+    @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: equivalence_check(standard_six_config(), x),
+            lambda x: alpha_slope(SystemType(2, 4, 2), x),
+            lambda x: x in critical_values(SystemType(2, 4, 2)),
+            lambda x: subsystem_violates(SystemType(2, 4, 2), SystemType(1, 1, 1), x),
+            lambda x: destabilizing_example_config(2, [1, 2, x]),
+        ],
+        ids=["equivalence-g", "alpha-slope", "wall-membership", "violates-alpha", "lambdas"],
+    )
+    def test_refused_with_a_schema_error(self, call, bad):
+        with pytest.raises(SchemaError):
+            call(bad)
 
 
 class TestSubsystemViolates:

@@ -10,6 +10,7 @@ from stabgeom import (
     DegenerateConfigurationError,
     GaleData,
     RowEliminationError,
+    SchemaError,
     conic_parameter_points,
     gale_transform,
     is_self_associated,
@@ -183,6 +184,11 @@ class TestConic:
     def test_duplicate_parameters_rejected(self):
         with pytest.raises(ValueError):
             conic_parameter_points([0, 1, 1, 2, 3, 4])
+
+    @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
+    def test_parameters_parsed_like_coordinates(self, bad):
+        with pytest.raises(SchemaError):
+            conic_parameter_points([0, 2, 3, 4, 5, bad])
 
     def test_standard_six_is_not_on_a_conic(self):
         assert not on_smooth_conic(standard_six_config())

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabgeom import (
+    SchemaError,
     StabilityClass,
     SubsetTooLargeError,
     classify,
@@ -71,6 +72,12 @@ class TestKnownVerdicts:
         assert verdict == oracle_classify(config, 2)
         with pytest.raises(ValueError):
             worst_subspace(config, 2)
+
+    @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
+    @pytest.mark.parametrize("call", [classify, oracle_classify, worst_subspace])
+    def test_weight_parsed_like_a_coordinate(self, call, bad):
+        with pytest.raises(SchemaError):
+            call(config_of((1, 0), (0, 1), (1, 1)), bad)
 
     def test_nonpositive_weight_rejected(self):
         config = config_of((1, 0), (0, 1))

@@ -29,7 +29,6 @@ PUBLIC_NAMES = {
     "CriticalValueSet",
     "EquivalenceReport",
     "SystemType",
-    "alpha_semistable_config",
     "alpha_slope",
     "critical_values",
     "destabilizing_example_config",
