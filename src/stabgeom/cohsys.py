@@ -18,6 +18,7 @@ from .exactgeom import (
     PointConfiguration,
     ProjectivePoint,
     ScalarLike,
+    _check_int,
     _Flat,
     _flats,
     format_scalar,
@@ -35,6 +36,8 @@ class SystemType:
     k: int
 
     def __post_init__(self):
+        for name in ("r", "d", "k"):
+            _check_int(getattr(self, name), name)
         if self.r < 1:
             raise ValueError("rank must be at least 1")
         if self.d < 0 or self.k < 0:
@@ -71,8 +74,8 @@ def critical_values(
     finite wall exists. The wall is (s*d - r*d') / (r*k' - s*k), so only
     the d' on the side of s*d/r that makes it positive are visited.
     """
-    d_max = t.d if degree_bound is None else degree_bound
-    k_max = t.k if section_bound is None else section_bound
+    d_max = t.d if degree_bound is None else _check_int(degree_bound, "degree_bound")
+    k_max = t.k if section_bound is None else _check_int(section_bound, "section_bound")
     if d_max < 0 or k_max < 0:
         raise ValueError("bounds must be nonnegative")
     found: set[Fraction] = set()

@@ -50,10 +50,17 @@ def parse_scalar(value: ScalarLike) -> Fraction:
 
 def format_scalar(value: ScalarLike) -> str:
     """Render a rational as "p" or "p/q" with positive denominator."""
-    q = Fraction(value)
+    q = parse_scalar(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _check_int(value: object, what: str) -> int:
+    """Return value if it is an int; a bool, a float or a string raises SchemaError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{what} must be an integer: {value!r}")
+    return value
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
@@ -330,9 +337,8 @@ def kernel_basis(matrix: Sequence[Sequence[ScalarLike]]) -> list[tuple[int, ...]
 
 
 def in_span(basis: Sequence[Sequence[ScalarLike]], vector: Sequence[ScalarLike]) -> bool:
-    """Whether vector lies in the row space of an echelon basis."""
-    rows = tuple(row for row in map(_clear_row_to_ints, basis) if any(row))
-    pivots = tuple(map(_pivot, rows))
+    """Whether vector lies in the row space of basis, whose rows need not be in echelon form."""
+    rows, pivots = _echelon(map(_clear_row_to_ints, basis))
     # _extend_basis leaves the pivots as they are exactly for a vector in the span
     return _extend_basis(rows, pivots, _clear_row_to_ints(vector))[1] == pivots
 

@@ -55,7 +55,7 @@ class GaleData:
             raise ValueError(
                 "gamma must equal r + s + 2 for projective dimensions r, s"
             )
-        d = tuple(Fraction(x) for x in diag)
+        d = tuple(parse_scalar(x) for x in diag)
         if any(x == 0 for x in d):
             raise ValueError("diag entries must be nonzero")
         # D times the lcm of its denominators is integral with the same zero product

@@ -342,7 +342,7 @@ class MatchingLine:
 
     def coords_at(self, t: ScalarLike, u: ScalarLike) -> tuple:
         """Coordinates (t, u, -t-u) on the three pairs; ints for integer (t, u)."""
-        tv, uv = (v if type(v) is int else Fraction(v) for v in (t, u))
+        tv, uv = (v if type(v) is int else parse_scalar(v) for v in (t, u))
         values = (tv, uv, -tv - uv)
         coords = [0] * NVARS
         for value, pair in zip(values, self.matching):
@@ -588,8 +588,8 @@ class DualityReport:
     def passed(self) -> bool:
         return (
             not self.counterexamples
-            and self.forward_ok == self.samples
-            and self.reverse_ok == self.samples - self.reverse_skipped
+            and self.forward_ok == self.reverse_ok == self.samples
+            and self.reverse_skipped == 0
         )
 
     def to_json(self) -> dict:

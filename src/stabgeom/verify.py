@@ -10,6 +10,8 @@ its models, nodes, lines and points without checking them.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import random
 import time
@@ -87,23 +89,35 @@ class CheckResult:
         }
 
 
-def _result(name: str, start: float, failures: list[str], ok_detail: str) -> CheckResult:
-    elapsed = time.perf_counter() - start
-    if failures:
-        shown = "; ".join(failures[:3])
-        if len(failures) > 3:
-            shown += f"; and {len(failures) - 3} more"
-        return CheckResult(name, False, shown, elapsed)
-    return CheckResult(name, True, ok_detail, elapsed)
+def _check(name: str):
+    """Time a check body returning ``(failures, detail)`` as the CheckResult ``name``.
+
+    A failing result shows the first three failures in place of the detail.
+    The check's ``skipped`` attribute is its result when run_all skips it.
+    """
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            failures, detail = body(*args, **kwargs)
+            elapsed = time.perf_counter() - start
+            if failures:
+                detail = "; ".join(failures[:3])
+                if len(failures) > 3:
+                    detail += f"; and {len(failures) - 3} more"
+            return CheckResult(name, not failures, detail, elapsed)
+
+        run.__signature__ = inspect.signature(body).replace(return_annotation="CheckResult")
+        run.skipped = CheckResult(name, True, "skipped (samples=0)", 0.0, skipped=True)
+        return run
+
+    return wrap
 
 
-def _skipped(name: str) -> CheckResult:
-    return CheckResult(name, True, "skipped (samples=0)", 0.0, skipped=True)
-
-
-def check_git_oracle(cases: int = 1000, seed: int = 0) -> CheckResult:
+@_check("git-oracle-agreement")
+def check_git_oracle(cases: int = 1000, seed: int = 0) -> tuple[list[str], str]:
     """Pruned classifier against the literal all-subsets oracle, full verdicts."""
-    start = time.perf_counter()
     rng = random.Random(seed * _SEED_STRIDE + 11)
     weights = (2, 3, 4, Fraction(3, 2))
     failures: list[str] = []
@@ -119,17 +133,12 @@ def check_git_oracle(cases: int = 1000, seed: int = 0) -> CheckResult:
                 f"case {i}: classify={fast.classification.value} "
                 f"oracle={slow.classification.value} rows={config.rows()} g={g}"
             )
-    return _result(
-        "git-oracle-agreement",
-        start,
-        failures,
-        f"{cases}/{cases} random configurations agree, witnesses included",
-    )
+    return failures, f"{cases}/{cases} random configurations agree, witnesses included"
 
 
-def check_dictionary(cases: int = 1000, seed: int = 0) -> CheckResult:
+@_check("dictionary-agreement")
+def check_dictionary(cases: int = 1000, seed: int = 0) -> tuple[list[str], str]:
     """Span-criterion verdicts against the alpha test past the threshold."""
-    start = time.perf_counter()
     rng = random.Random(seed * _SEED_STRIDE + 22)
     failures: list[str] = []
     for i in range(cases):
@@ -143,17 +152,14 @@ def check_dictionary(cases: int = 1000, seed: int = 0) -> CheckResult:
                 f"alpha_ss={report.alpha_semistable} alpha_s={report.alpha_stable} "
                 f"rows={config.rows()} g={g}"
             )
-    return _result(
-        "dictionary-agreement",
-        start,
-        failures,
-        f"{cases}/{cases} configurations: semistable and stable verdicts match both routes",
+    return failures, (
+        f"{cases}/{cases} configurations: semistable and stable verdicts match both routes"
     )
 
 
-def check_destabilizing_example() -> CheckResult:
+@_check("destabilizing-example")
+def check_destabilizing_example() -> tuple[list[str], str]:
     """The weight-g line configuration and its wall at alpha = 1."""
-    start = time.perf_counter()
     failures: list[str] = []
     below = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
     at_or_above = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(10))
@@ -173,15 +179,11 @@ def check_destabilizing_example() -> CheckResult:
         for a in at_or_above:
             if subsystem_violates(full, sub, a):
                 failures.append(f"g={g}: spurious violation at alpha={a} >= 1")
-    return _result(
-        "destabilizing-example",
-        start,
-        failures,
-        "g=4..8: configuration Stable, wall at 1 present, violation iff alpha < 1",
-    )
+    return failures, "g=4..8: configuration Stable, wall at 1 present, violation iff alpha < 1"
 
 
-def check_thresholds() -> CheckResult:
+@_check("thresholds-and-walls")
+def check_thresholds() -> tuple[list[str], str]:
     """Wall locations for types (r, rg, r) against the threshold g(r-1).
 
     For a section-deficient subtype (s, d', k') with k' < s the wall sits
@@ -191,7 +193,6 @@ def check_thresholds() -> CheckResult:
     the threshold is attained (d' = rg, s = 1, k' = 0), which is what
     makes g(r-1) the last wall rather than a strict upper bound.
     """
-    start = time.perf_counter()
     failures: list[str] = []
     for r in range(1, 7):
         for g in range(1, 7):
@@ -234,12 +235,9 @@ def check_thresholds() -> CheckResult:
                 failures.append(f"(r,g)=({r},{g}): violation at the threshold itself")
             if subsystem_violates(full, extremal, threshold + 1):
                 failures.append(f"(r,g)=({r},{g}): violation above the threshold")
-    return _result(
-        "thresholds-and-walls",
-        start,
-        failures,
+    return failures, (
         "r,g <= 6: thresholds match g(r-1); section-deficient walls obey "
-        "(d'-gs)/(s-k') <= g(r-s)/(s-k') <= g(r-1) with violations only strictly below",
+        "(d'-gs)/(s-k') <= g(r-s)/(s-k') <= g(r-1) with violations only strictly below"
     )
 
 
@@ -257,9 +255,11 @@ def _gale_product_zero(data: GaleData) -> bool:
     return True
 
 
-def check_gale(involutions: int = 100, assoc_cases: int = 10, seed: int = 0) -> CheckResult:
+@_check("gale-involution-and-self-association")
+def check_gale(
+    involutions: int = 100, assoc_cases: int = 10, seed: int = 0
+) -> tuple[list[str], str]:
     """Involution, the conic self-association criterion, and the product identity."""
-    start = time.perf_counter()
     rng = random.Random(seed * _SEED_STRIDE + 33)
     failures: list[str] = []
     for i in range(involutions):
@@ -296,20 +296,17 @@ def check_gale(involutions: int = 100, assoc_cases: int = 10, seed: int = 0) -> 
         except StabgeomError as exc:
             failures.append(f"generic case {done}: {type(exc).__name__}: {exc}")
         done += 1
-    return _result(
-        "gale-involution-and-self-association",
-        start,
-        failures,
+    return failures, (
         f"{involutions} involutions exact; {assoc_cases}+{assoc_cases} conic/generic "
-        "self-association verdicts correct; every product recomputed to zero",
+        "self-association verdicts correct; every product recomputed to zero"
     )
 
 
-def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> CheckResult:
+@_check("segre-nodes")
+def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> tuple[list[str], str]:
     """The ten nodes, their type, the split bijection, and a random search for strays."""
     if search_points < 0:
         raise ValueError("samples must be nonnegative")
-    start = time.perf_counter()
     model = segre_cubic()
     failures: list[str] = []
     nodes = segre_nodes()
@@ -331,7 +328,6 @@ def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> CheckResult
     splits = three_three_splits()
     if len(splits) != 10 or {n.split for n in nodes} != set(splits):
         failures.append("split labels are not a bijection onto the 10 partitions")
-    strays = 0
     if search_points > 0:
         rng = random.Random(seed * _SEED_STRIDE + 44)
         tried = 0
@@ -343,24 +339,22 @@ def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> CheckResult
             tried += 1
             p = AmbientPoint(v)
             if verify_singular_point(model, p) and p.coords not in coords_set:
-                strays += 1
                 failures.append(f"stray singular point {p.coords}")
-    detail = (
-        "10 nodes verified (F=0, constant gradient, Hessian rank 4), "
-        f"split bijection holds; {search_points} random hyperplane points, "
-        f"{strays} extra singular"
+    # a stray is a failure, so a passing search found no extra singular point
+    search = (
+        f"{search_points} random hyperplane points, 0 extra singular"
+        if search_points
+        else "random search skipped"
     )
-    if search_points == 0:
-        detail = (
-            "10 nodes verified (F=0, constant gradient, Hessian rank 4), "
-            "split bijection holds; random search skipped"
-        )
-    return _result("segre-nodes", start, failures, detail)
+    return failures, (
+        "10 nodes verified (F=0, constant gradient, Hessian rank 4), "
+        f"split bijection holds; {search}"
+    )
 
 
-def check_igusa() -> CheckResult:
+@_check("igusa-singular-locus")
+def check_igusa() -> tuple[list[str], str]:
     """Singular lines and points of the quartic and the 15_3 incidence."""
-    start = time.perf_counter()
     model = igusa_quartic()
     failures: list[str] = []
     lines = igusa_lines()
@@ -397,18 +391,15 @@ def check_igusa() -> CheckResult:
     }
     if geometric != set(structure.flags):
         failures.append("geometric incidence differs from matching membership")
-    return _result(
-        "igusa-singular-locus",
-        start,
-        failures,
+    return failures, (
         "15 lines singular at 6 parameter ratios each, 15 points singular, "
-        "45 geometric flags equal the abstract 15_3",
+        "45 geometric flags equal the abstract 15_3"
     )
 
 
-def check_duality(samples: int = 200, seed: int = 0) -> CheckResult:
+@_check("polar-duality")
+def check_duality(samples: int = 200, seed: int = 0) -> tuple[list[str], str]:
     """Both polar directions, exactly, on every sampled cubic point."""
-    start = time.perf_counter()
     report = duality_check(samples, seed)
     failures: list[str] = []
     if report.forward_ok != samples:
@@ -420,17 +411,14 @@ def check_duality(samples: int = 200, seed: int = 0) -> CheckResult:
         )
     for direction, coords in report.counterexamples:
         failures.append(f"{direction} counterexample at {coords}")
-    return _result(
-        "polar-duality",
-        start,
-        failures,
-        f"{samples}/{samples} forward and {samples}/{samples} reverse identities hold exactly",
+    return failures, (
+        f"{samples}/{samples} forward and {samples}/{samples} reverse identities hold exactly"
     )
 
 
-def check_combinatorics() -> CheckResult:
+@_check("matching-combinatorics")
+def check_combinatorics() -> tuple[list[str], str]:
     """Counting identities for matchings, splits, and incidence degrees."""
-    start = time.perf_counter()
     failures: list[str] = []
     matchings = perfect_matchings()
     expected = math.factorial(NVARS) // (2 ** (NVARS // 2) * math.factorial(NVARS // 2))
@@ -451,12 +439,7 @@ def check_combinatorics() -> CheckResult:
         failures.append(f"split count {len(splits)}")
     if math.comb(NVARS, 3) // 2 != 10:
         failures.append("binomial identity C(6,3)/2 != 10")
-    return _result(
-        "matching-combinatorics",
-        start,
-        failures,
-        "15 matchings of size 3, every edge in exactly 3; 10 splits",
-    )
+    return failures, "15 matchings of size 3, every edge in exactly 3; 10 splits"
 
 
 @dataclass(frozen=True)
@@ -479,42 +462,25 @@ class VerificationReport:
         }
 
 
-def run_all(
-    samples: int = 200,
-    seed: int = 0,
-    *,
-    git_cases: int = 1000,
-    dict_cases: int = 1000,
-    gale_involutions: int = 100,
-    gale_assoc: int = 10,
-    search_points: int = 10_000,
-) -> VerificationReport:
-    """Every check in order; samples=0 skips the randomized ones.
+def run_all(samples: int = 200, seed: int = 0) -> VerificationReport:
+    """Every check in order, each at its default size; samples=0 skips the randomized ones.
 
-    The fixed-example and combinatorial checks always run. The random
-    case counts are part of each check's contract and are not scaled by
-    the samples argument, which only sizes the duality sample set.
+    The fixed-example and combinatorial checks always run; samples sizes
+    only the duality sample set.
     """
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     start = time.perf_counter()
     randomized = samples > 0
     checks = (
-        check_git_oracle(git_cases, seed) if randomized else _skipped("git-oracle-agreement"),
-        check_dictionary(dict_cases, seed) if randomized else _skipped("dictionary-agreement"),
+        check_git_oracle(seed=seed) if randomized else check_git_oracle.skipped,
+        check_dictionary(seed=seed) if randomized else check_dictionary.skipped,
         check_destabilizing_example(),
         check_thresholds(),
-        check_gale(gale_involutions, gale_assoc, seed)
-        if randomized
-        else _skipped("gale-involution-and-self-association"),
-        check_segre_nodes(search_points if randomized else 0, seed),
+        check_gale(seed=seed) if randomized else check_gale.skipped,
+        check_segre_nodes(seed=seed) if randomized else check_segre_nodes(0),
         check_igusa(),
-        check_duality(samples, seed) if randomized else _skipped("polar-duality"),
+        check_duality(samples, seed) if randomized else check_duality.skipped,
         check_combinatorics(),
     )
-    return VerificationReport(
-        checks=checks,
-        samples=samples,
-        seed=seed,
-        elapsed=time.perf_counter() - start,
-    )
+    return VerificationReport(checks, samples, seed, time.perf_counter() - start)

@@ -457,6 +457,32 @@ class TestHypersurfaceGoldenBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestVerifyAllGoldenBytes:
+    """SHA-256 of `stab verify-all` stdout: the CLI bytes are a fixed contract."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                ["--samples", "0", "--seed", "3"],
+                "006cbdea547ce7260c27a81f592a2a866b24b60812ab92a6fe3f286e3221a1e0",
+                id="samples-0-seed-3",
+            ),
+            pytest.param(
+                ["--samples", "20", "--seed", "4"],
+                "f37b6ecf6c561c106eab4d99b5090119a5a0368c0e0e0a98fff877880b6555c9",
+                id="samples-20-seed-4",
+            ),
+        ],
+    )
+    def test_stdout_bytes(self, cli, argv, digest):
+        code, out, err = cli(["verify-all"] + argv)
+        assert code == 0
+        assert err == ""
+        assert payload(out)["passed"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 FOUR_ON_A_LINE_ROWS = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 1, 0], [0, 0, 1], [1, 1, 1]]
 
 
@@ -675,6 +701,16 @@ class TestHypersurface:
             counterexamples=(("forward", (1, 2, 3, -1, -2, -3)),),
         )
         monkeypatch.setattr("stabgeom.cli.duality_check", lambda *a, **k: failing)
+        code, out, _ = cli(["hypersurface", "verify", "duality"])
+        assert code == 1
+        assert payload(out)["passed"] is False
+
+    def test_skipped_reverse_image_exits_one(self, cli, monkeypatch):
+        # verify-all fails on a skip, so the standalone verdict must too
+        skipping = DualityReport(
+            samples=5, forward_ok=5, reverse_ok=4, reverse_skipped=1, counterexamples=()
+        )
+        monkeypatch.setattr("stabgeom.cli.duality_check", lambda *a, **k: skipping)
         code, out, _ = cli(["hypersurface", "verify", "duality"])
         assert code == 1
         assert payload(out)["passed"] is False

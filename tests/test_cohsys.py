@@ -181,7 +181,10 @@ class TestEquivalence:
 
 
 class TestRationalArguments:
-    """Weights, slopes and lambdas are parsed like coordinates: no bool, float or decimal."""
+    """Weights, slopes and lambdas are parsed like coordinates: no bool, float or decimal.
+
+    The integers of a type and the wall bounds take an int and nothing else.
+    """
 
     @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
     @pytest.mark.parametrize(
@@ -192,8 +195,16 @@ class TestRationalArguments:
             lambda x: x in critical_values(SystemType(2, 4, 2)),
             lambda x: subsystem_violates(SystemType(2, 4, 2), SystemType(1, 1, 1), x),
             lambda x: destabilizing_example_config(2, [1, 2, x]),
+            lambda x: SystemType(x, 4, 2),
+            lambda x: SystemType(2, x, 2),
+            lambda x: SystemType(2, 4, x),
+            lambda x: critical_values(SystemType(2, 4, 2), degree_bound=x),
+            lambda x: critical_values(SystemType(2, 4, 2), section_bound=x),
         ],
-        ids=["equivalence-g", "alpha-slope", "wall-membership", "violates-alpha", "lambdas"],
+        ids=[
+            "equivalence-g", "alpha-slope", "wall-membership", "violates-alpha", "lambdas",
+            "type-r", "type-d", "type-k", "degree-bound", "section-bound",
+        ],
     )
     def test_refused_with_a_schema_error(self, call, bad):
         with pytest.raises(SchemaError):

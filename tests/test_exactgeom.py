@@ -117,6 +117,11 @@ class TestScalars:
         with pytest.raises(SchemaError):
             parse_scalar(bad)
 
+    @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
+    def test_format_rejects_non_rationals(self, bad):
+        with pytest.raises(SchemaError):
+            format_scalar(bad)
+
     def test_format_round_trips(self):
         assert format_scalar(Fraction(6, 4)) == "3/2"
         assert format_scalar(Fraction(-6, 3)) == "-2"
@@ -334,6 +339,7 @@ class TestEchelonAndKernel:
             expected = gauss_rank(rows + [v]) == len(rows)
             assert in_span(basis, v) == expected
             assert in_span(rows, v) == expected
+            assert in_span(m, v) == expected
         if len(m) != width:
             with pytest.raises(ValueError, match="^transform matrix must be square$"):
                 ProjectiveTransform(m)
@@ -353,6 +359,11 @@ class TestEchelonAndKernel:
     def test_kernel_rejects_empty_and_ragged(self, bad):
         with pytest.raises(ValueError):
             kernel_basis(bad)
+
+    def test_in_span_reads_rows_not_in_echelon_form(self):
+        # (0, 1) = (1, 1) - (1, 0), though neither row has its pivot in column 1
+        assert in_span([[1, 1], [1, 0]], [0, 1])
+        assert not in_span([[1, 1], [2, 2]], [0, 1])
 
     def test_in_span_fraction_route_agrees_with_int_route(self):
         basis = echelon_basis([[2, 0, 4], [0, 3, 9]])

@@ -5,12 +5,15 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stabgeom import (
     DegenerateConfigurationError,
     GaleData,
     RowEliminationError,
     SchemaError,
+    StabilityClass,
+    classify,
     conic_parameter_points,
     gale_transform,
     is_self_associated,
@@ -19,6 +22,7 @@ from stabgeom import (
     rank,
 )
 from stabgeom.randconf import (
+    random_configuration,
     random_conic_parameters,
     random_frame_configuration,
     random_transform,
@@ -145,6 +149,12 @@ class TestGaleData:
             scaled = GaleData(source=data.source, target=data.target, diag=diag)
             assert scaled.diag == diag
 
+    @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
+    def test_diag_parsed_like_coordinates(self, bad):
+        data = gale_transform(standard_six_config())
+        with pytest.raises(SchemaError):
+            GaleData(source=data.source, target=data.target, diag=data.diag[:-1] + (bad,))
+
     def test_rejects_one_perturbed_diag_entry(self):
         # the product changes by the outer product of two nonzero rows
         for config in (standard_six_config(), conic_parameter_points([0, 1, -1, 2, -2, 3])):
@@ -245,3 +255,37 @@ class TestSelfAssociation:
         )
         for config in (five, seven):
             assert not is_self_associated(config)
+
+
+@st.composite
+def associated_pairs(draw):
+    """A random_configuration of n points in P^(r-1), 2 <= r <= 4, r + 2 <= n <= min(3r + 2, 12)."""
+    r = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=r + 2, max_value=min(3 * r + 2, 12)))
+    return random_configuration(random.Random(draw(st.integers(0, 2**32))), r, n)
+
+
+class TestAssociationPreservesStability:
+    """(P^(r-1))^n // SL(r) and (P^(n-r-1))^n // SL(n-r) are isomorphic through association.
+
+    The symmetric weights are g = n/r on the source and n/(n-r) on the Gale
+    transform. A subset of k points spanning rank s has a complement of
+    dual rank n - k - r + s, so off the stable class the worst margins m of
+    the source and m' of the transform satisfy r*m = (n-r)*m'. A stable
+    verdict's worst flat need not have a flat complement, so there only
+    the class is compared.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(associated_pairs())
+    def test_class_and_non_stable_margin_agree(self, config):
+        try:
+            target = gale_transform(config).target
+        except (DegenerateConfigurationError, RowEliminationError):
+            assume(False)
+        r, n = config.ambient_rank, len(config)
+        source_verdict = classify(config, Fraction(n, r))
+        target_verdict = classify(target, Fraction(n, n - r))
+        assert source_verdict.classification is target_verdict.classification
+        if source_verdict.classification is not StabilityClass.STABLE:
+            assert r * source_verdict.margin == (n - r) * target_verdict.margin

@@ -216,6 +216,13 @@ class TestPowerSumCore:
             assert all(type(h) is int for row in model.hessian(coords) for h in row)
         assert all(type(c) is int for c in MatchingLine(perfect_matchings()[3]).coords_at(2, -7))
 
+    @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
+    def test_line_parameters_parsed_like_coordinates(self, bad):
+        line = MatchingLine(perfect_matchings()[3])
+        for t, u in ((bad, 1), (1, bad)):
+            with pytest.raises(SchemaError):
+                line.point_at(t, u)
+
     def test_bool_coordinates_rejected(self):
         # True == 1 and False == 0, so a bool taken for an int would evaluate
         # to 0 here; AmbientPoint rejects the same coordinates

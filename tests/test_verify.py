@@ -20,18 +20,6 @@ SKIPPABLE = {
 }
 
 
-def quick_run(samples, seed):
-    return run_all(
-        samples,
-        seed,
-        git_cases=30,
-        dict_cases=30,
-        gale_involutions=6,
-        gale_assoc=2,
-        search_points=200,
-    )
-
-
 class TestCheckResult:
     def test_json_omits_wall_clock_time(self):
         result = CheckResult("demo", True, "fine", 1.25)
@@ -46,6 +34,18 @@ class TestCheckResult:
         # seed 4 draws generic cases whose Gale transform has a collinear frame
         result = check_gale(100, 10, 4)
         assert result.passed, result.detail
+
+    def test_failures_replace_the_detail_three_at_a_time(self, monkeypatch):
+        # no matchings: one count failure, then 15 edges in 0 matchings
+        monkeypatch.setattr("stabgeom.verify.perfect_matchings", lambda: [])
+        result = check_combinatorics()
+        assert result.name == "matching-combinatorics"
+        assert not result.passed and not result.skipped
+        assert result.detail == (
+            "matching count 0 (formula gives 15); edge (0,1) lies in 0 matchings; "
+            "edge (0,2) lies in 0 matchings; and 13 more"
+        )
+        assert result.elapsed >= 0
 
     def test_fixed_checks_pass_standalone(self):
         for check in (
@@ -62,7 +62,7 @@ class TestCheckResult:
 
 class TestRunAll:
     def test_zero_samples_skips_only_the_randomized_checks(self):
-        report = quick_run(0, 0)
+        report = run_all(0, 0)
         assert report.passed
         by_name = {c.name: c for c in report.checks}
         assert {n for n, c in by_name.items() if c.skipped} == SKIPPABLE
@@ -74,11 +74,11 @@ class TestRunAll:
             run_all(-1)
 
     def test_seed_variation_does_not_change_the_verdict(self):
-        verdicts = [quick_run(15, seed).passed for seed in (1, 2, 3)]
+        verdicts = [run_all(15, seed).passed for seed in (1, 2, 3)]
         assert verdicts == [True, True, True]
 
     def test_report_json_shape(self):
-        report = quick_run(0, 9)
+        report = run_all(0, 9)
         payload = report.to_json()
         assert payload["passed"] is True
         assert payload["samples"] == 0
