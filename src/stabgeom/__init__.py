@@ -8,7 +8,6 @@ with their singular loci, incidence combinatorics, and polar duality.
 """
 
 from .cohsys import (
-    CriticalValueSet,
     EquivalenceReport,
     SystemType,
     alpha_slope,

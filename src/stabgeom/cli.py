@@ -77,7 +77,7 @@ def _cmd_critical_values(args: argparse.Namespace) -> int:
         degree_bound=args.degree_bound,
         section_bound=args.section_bound,
     )
-    _emit({"values": [format_scalar(v) for v in walls.values]})
+    _emit({"values": [format_scalar(v) for v in walls]})
     return 0
 
 

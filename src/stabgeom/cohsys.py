@@ -44,17 +44,6 @@ class SystemType:
             raise ValueError("degree and section count must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CriticalValueSet:
-    """Sorted distinct positive walls for a type, with the type that generated them."""
-
-    values: tuple[Fraction, ...]
-    generating_type: SystemType
-
-    def __contains__(self, alpha: ScalarLike) -> bool:
-        return parse_scalar(alpha) in self.values
-
-
 def alpha_slope(t: SystemType, alpha: ScalarLike) -> Fraction:
     """mu_alpha = d/r + alpha * k/r."""
     a = parse_scalar(alpha)
@@ -66,8 +55,8 @@ def critical_values(
     *,
     degree_bound: int | None = None,
     section_bound: int | None = None,
-) -> CriticalValueSet:
-    """Positive alpha where some subsystem type (s, d', k') matches the slope of t.
+) -> tuple[Fraction, ...]:
+    """The sorted distinct positive alpha where a subsystem type (s, d', k') matches t's slope.
 
     Ranges over 1 <= s <= r-1, 0 <= d' <= degree_bound (default d),
     0 <= k' <= section_bound (default k), skipping k'/s == k/r where no
@@ -89,12 +78,12 @@ def critical_values(
             else:
                 continue
             found.update(Fraction(s * t.d - t.r * dp, den) for dp in dps)
-    return CriticalValueSet(values=tuple(sorted(found)), generating_type=t)
+    return tuple(sorted(found))
 
 
 def stabilization_threshold(r: int, g: int) -> int:
     """g*(r-1): above this alpha no new wall from section-deficient subtypes opens."""
-    if r < 1 or g < 1:
+    if _check_int(r, "r") < 1 or _check_int(g, "g") < 1:
         raise ValueError("rank and weight must be positive")
     return g * (r - 1)
 
@@ -213,7 +202,7 @@ def destabilizing_example_config(
     genus - 1 coincident points at [1:0] plus genus + 1 pairwise distinct
     points [lambda_i : 1] with nonzero lambda_i; 2*genus points in total.
     """
-    if genus < 2:
+    if _check_int(genus, "genus") < 2:
         raise ValueError("genus must be at least 2")
     if lambdas is None:
         values = [Fraction(i) for i in range(1, genus + 2)]

@@ -7,9 +7,9 @@ operation is a pure function. All arithmetic is exact and integral;
 or formatted (``format_scalar``) and in ``reduced_row_echelon``'s output.
 
 Every basis comes from one fraction-free kernel, ``_extend_basis``: the
-reduced row echelon form, the echelon basis, the kernel, the inverse and
-a flat's basis are views of the primitive integer echelon basis it
-builds. ``rank`` is Bareiss. The flats are enumerated by reverse search
+reduced row echelon form, the echelon basis, the kernel and the inverse
+are views of the primitive integer echelon basis it builds. ``rank`` is
+Bareiss. The flats are enumerated by reverse search
 (``_flats``): each is generated once, from the flat its lex-first basis
 spans without its last point, so no table of the flats is kept.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -119,7 +119,7 @@ class PointConfiguration:
 
     def __init__(self, ambient_rank: int, points: Iterable[ProjectivePoint]):
         pts = tuple(points)
-        if ambient_rank < 1:
+        if _check_int(ambient_rank, "ambient_rank") < 1:
             raise ValueError("ambient rank must be at least 1")
         if not pts:
             raise ValueError("a configuration needs at least one point")
@@ -414,19 +414,6 @@ def span_dim(config: PointConfiguration, subset: Iterable[int]) -> int:
     return _rank_ints([list(config.points[i].coords) for i in indices])
 
 
-@dataclass(frozen=True)
-class SpannedSubspace:
-    """A proper subspace spanned by configuration points; ``basis`` is derived when read."""
-
-    dim: int
-    members: tuple[int, ...]
-    rows: Sequence[tuple[int, ...]] = field(compare=False, repr=False)
-
-    @property
-    def basis(self) -> _Basis:
-        return _echelon(self.rows[i] for i in self.members)[0]
-
-
 _Flat = tuple[int, tuple[int, ...]]
 
 
@@ -480,14 +467,13 @@ def _flats(config: PointConfiguration) -> Iterator[_Flat]:
             stack.append((dim, flat, new[0], child))
 
 
-def point_spanned_subspaces(config: PointConfiguration) -> list[SpannedSubspace]:
+def point_spanned_subspaces(config: PointConfiguration) -> list[_Flat]:
     """All proper subspaces spanned by points: the flats of rank 1 to ambient_rank - 1.
 
-    They come from ``_flats``, ordered by dimension, then by ``members``;
-    ``basis`` is derived from the member rows when read. Rank 1 gives [].
+    They are the ``(dim, members)`` pairs of ``_flats``, ordered by
+    dimension, then by ``members``. Rank 1 gives [].
     """
-    rows = config.rows()
-    return [SpannedSubspace(dim, members, rows) for dim, members in sorted(_flats(config))]
+    return sorted(_flats(config))
 
 
 def _frame_transform(config: PointConfiguration) -> tuple[list[list[int]], list[int]]:

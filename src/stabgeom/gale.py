@@ -97,13 +97,13 @@ def gale_transform(config: PointConfiguration) -> GaleData:
     if gamma < big_r + 2:
         raise ValueError(f"need at least ambient_rank + 2 = {big_r + 2} points, got {gamma}")
     g_rows = config.rows()
-    if rank(g_rows) < big_r:
+    kernel = kernel_basis([[row[i] for row in g_rows] for i in range(big_r)])
+    width = len(kernel)
+    # rank(G) = gamma - dim ker(G^T)
+    if width > gamma - big_r:
         raise DegenerateConfigurationError(
             "configuration does not span its ambient space"
         )
-    transpose = [[row[i] for row in g_rows] for i in range(big_r)]
-    kernel = kernel_basis(transpose)
-    width = len(kernel)
     gp_rows: list[list[int]] = [
         [kernel[j][i] for j in range(width)] for i in range(gamma)
     ]
@@ -148,10 +148,10 @@ def on_smooth_conic(config: PointConfiguration) -> bool:
     for p in config.points:
         x, y, z = p.coords
         rows.append([x * x, y * y, z * z, x * y, x * z, y * z])
-    if rank(rows) != 5:
+    kernel = kernel_basis(rows)
+    if len(kernel) != 1:
         return False
-    (coeffs,) = kernel_basis(rows)
-    a, b, c, d, e, f = coeffs
+    a, b, c, d, e, f = kernel[0]
     # doubled symmetric matrix of the conic keeps everything integral
     m = [[2 * a, d, e], [d, 2 * b, f], [e, f, 2 * c]]
     return rank(m) == 3

@@ -24,7 +24,6 @@ from .errors import SubsetTooLargeError
 from .exactgeom import (
     PointConfiguration,
     ScalarLike,
-    SpannedSubspace,
     _Flat,
     _flats,
     _rank_ints,
@@ -70,7 +69,6 @@ class StabilityVerdict:
 
     classification: StabilityClass
     witness: Witness | None
-    weight_g: Fraction
     margin: Fraction | None
 
     @property
@@ -92,18 +90,18 @@ def _coerce_weight(g: ScalarLike) -> Fraction:
 def _verdict(best: _Flat | None, g: Fraction) -> StabilityVerdict:
     """The verdict for the worst (dim, members) subset: its margin k - g*s and witness."""
     if best is None:
-        return StabilityVerdict(StabilityClass.STABLE, None, g, None)
+        return StabilityVerdict(StabilityClass.STABLE, None, None)
     dim, members = best
     margin = len(members) - g * dim
     if margin < 0:
-        return StabilityVerdict(StabilityClass.STABLE, None, g, margin)
+        return StabilityVerdict(StabilityClass.STABLE, None, margin)
     witness = Witness(indices=members, span_dim=dim, size=len(members))
     cls = (
         StabilityClass.UNSTABLE
         if margin > 0
         else StabilityClass.STRICTLY_SEMISTABLE
     )
-    return StabilityVerdict(cls, witness, g, margin)
+    return StabilityVerdict(cls, witness, margin)
 
 
 def _best_point_spanned(flats: Iterable[_Flat], g: Fraction) -> _Flat | None:
@@ -127,16 +125,14 @@ def classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:
     return _verdict(_best_point_spanned(_flats(config), weight), weight)
 
 
-def worst_subspace(
-    config: PointConfiguration, g: ScalarLike
-) -> tuple[SpannedSubspace, Fraction]:
-    """The proper point-spanned subspace maximizing (#points in W) - g*dim(W), with that margin."""
+def worst_subspace(config: PointConfiguration, g: ScalarLike) -> tuple[_Flat, Fraction]:
+    """The (dim, members) flat W maximizing (#points in W) - g*dim(W), with that margin."""
     weight = _coerce_weight(g)
     best = _best_point_spanned(_flats(config), weight)
     if best is None:
         raise ValueError("no proper point-spanned subspace exists (ambient rank 1)")
     dim, members = best
-    return SpannedSubspace(dim, members, config.rows()), len(members) - weight * dim
+    return best, len(members) - weight * dim
 
 
 def oracle_classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:

@@ -34,7 +34,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SingularPointError
-from .exactgeom import ScalarLike, _canonical_int_vector, parse_scalar, rank
+from .exactgeom import ScalarLike, _canonical_int_vector, _check_int, parse_scalar, rank
 
 NVARS = 6
 
@@ -545,7 +545,7 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
     gradient, and since both tests only reject, their order does not
     change which points are drawn.
     """
-    if count < 0:
+    if _check_int(count, "count") < 0:
         raise ValueError("count must be nonnegative")
     model = segre_cubic()
     nodes = [n.point for n in segre_nodes()]
@@ -614,7 +614,7 @@ def duality_check(samples: int, seed: int = 0) -> DualityReport:
     raised. A sample costs three power passes: x on the cubic, y on the
     quartic (value, singularity test and reverse image) and z on the cubic.
     """
-    if samples < 0:
+    if _check_int(samples, "samples") < 0:
         raise ValueError("samples must be nonnegative")
     segre = segre_cubic()
     igusa = igusa_quartic()

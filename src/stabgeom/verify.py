@@ -27,7 +27,7 @@ from .cohsys import (
     subsystem_violates,
 )
 from .errors import StabgeomError
-from .exactgeom import projectively_equivalent
+from .exactgeom import _check_int, projectively_equivalent
 from .gale import GaleData, conic_parameter_points, gale_transform, is_self_associated, on_smooth_conic
 from .gitstab import classify, oracle_classify
 from .modhyp import (
@@ -118,6 +118,7 @@ def _check(name: str):
 @_check("git-oracle-agreement")
 def check_git_oracle(cases: int = 1000, seed: int = 0) -> tuple[list[str], str]:
     """Pruned classifier against the literal all-subsets oracle, full verdicts."""
+    _check_int(cases, "cases")
     rng = random.Random(seed * _SEED_STRIDE + 11)
     weights = (2, 3, 4, Fraction(3, 2))
     failures: list[str] = []
@@ -139,6 +140,7 @@ def check_git_oracle(cases: int = 1000, seed: int = 0) -> tuple[list[str], str]:
 @_check("dictionary-agreement")
 def check_dictionary(cases: int = 1000, seed: int = 0) -> tuple[list[str], str]:
     """Span-criterion verdicts against the alpha test past the threshold."""
+    _check_int(cases, "cases")
     rng = random.Random(seed * _SEED_STRIDE + 22)
     failures: list[str] = []
     for i in range(cases):
@@ -169,8 +171,8 @@ def check_destabilizing_example() -> tuple[list[str], str]:
         if verdict.classification.value != "Stable":
             failures.append(f"g={g}: expected Stable, got {verdict.classification.value}")
         walls = critical_values(SystemType(2, 2 * g, 2))
-        if Fraction(1) not in walls.values:
-            failures.append(f"g={g}: 1 missing from critical values {walls.values}")
+        if Fraction(1) not in walls:
+            failures.append(f"g={g}: 1 missing from critical values {walls}")
         full = SystemType(2, 2 * g, 2)
         sub = SystemType(1, g + 1, 0)
         for a in below:
@@ -202,7 +204,7 @@ def check_thresholds() -> tuple[list[str], str]:
         for g in range(1, 7):
             full = SystemType(r, r * g, r)
             threshold = Fraction(g * (r - 1))
-            walls = set(critical_values(full).values)
+            walls = set(critical_values(full))
             max_wall = Fraction(0)
             for s in range(1, r):
                 for kp in range(0, s):
@@ -260,6 +262,8 @@ def check_gale(
     involutions: int = 100, assoc_cases: int = 10, seed: int = 0
 ) -> tuple[list[str], str]:
     """Involution, the conic self-association criterion, and the product identity."""
+    _check_int(involutions, "involutions")
+    _check_int(assoc_cases, "assoc_cases")
     rng = random.Random(seed * _SEED_STRIDE + 33)
     failures: list[str] = []
     for i in range(involutions):
@@ -305,7 +309,7 @@ def check_gale(
 @_check("segre-nodes")
 def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> tuple[list[str], str]:
     """The ten nodes, their type, the split bijection, and a random search for strays."""
-    if search_points < 0:
+    if _check_int(search_points, "search_points") < 0:
         raise ValueError("samples must be nonnegative")
     model = segre_cubic()
     failures: list[str] = []
@@ -447,7 +451,6 @@ class VerificationReport:
     checks: tuple[CheckResult, ...]
     samples: int
     seed: int
-    elapsed: float
 
     @property
     def passed(self) -> bool:
@@ -468,9 +471,8 @@ def run_all(samples: int = 200, seed: int = 0) -> VerificationReport:
     The fixed-example and combinatorial checks always run; samples sizes
     only the duality sample set.
     """
-    if samples < 0:
+    if _check_int(samples, "samples") < 0:
         raise ValueError("samples must be nonnegative")
-    start = time.perf_counter()
     randomized = samples > 0
     checks = (
         check_git_oracle(seed=seed) if randomized else check_git_oracle.skipped,
@@ -483,4 +485,4 @@ def run_all(samples: int = 200, seed: int = 0) -> VerificationReport:
         check_duality(samples, seed) if randomized else check_duality.skipped,
         check_combinatorics(),
     )
-    return VerificationReport(checks, samples, seed, time.perf_counter() - start)
+    return VerificationReport(checks, samples, seed)

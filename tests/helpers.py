@@ -9,6 +9,8 @@ derivation solves its conditions with the same oracle, on the expanded
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from stabgeom import MatchingLine, PointConfiguration, perfect_matchings
 from stabgeom.modhyp import NVARS, Polynomial
 
@@ -162,6 +164,32 @@ def sign_paired_by_matching(coords) -> bool:
 
 def config_of(*rows) -> PointConfiguration:
     return PointConfiguration.from_rows(list(rows))
+
+
+@st.composite
+def degenerate_configurations(draw):
+    """Up to 9 points of P^(r-1), r <= 5, with forced repeats and collinear points.
+
+    Points forced collinear are integer combinations of two earlier points.
+    """
+    r = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=9))
+    small = st.integers(min_value=-3, max_value=3)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("random", "repeat", "collinear")))
+        if kind == "repeat" and rows:
+            row = draw(st.sampled_from(rows))
+        elif kind == "collinear" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(small), draw(small)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = draw(st.lists(small, min_size=r, max_size=r))
+        rows.append(row if any(row) else [1] + [0] * (r - 1))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        rows = [rows[0]] * n  # all points equal
+    return config_of(*rows)
 
 
 def triple_point_config() -> PointConfiguration:

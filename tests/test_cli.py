@@ -774,7 +774,6 @@ class TestVerifyAll:
             checks=(CheckResult("demo", False, "broken", 0.0),),
             samples=1,
             seed=0,
-            elapsed=0.0,
         )
         monkeypatch.setattr("stabgeom.cli.run_all", lambda *a, **k: bad)
         code, out, _ = cli(["verify-all"])

@@ -43,14 +43,14 @@ class TestSystemType:
 class TestCriticalValues:
     def test_reference_type_has_walls_one_and_two(self):
         walls = critical_values(SystemType(2, 4, 2))
-        assert walls.values == (Fraction(1), Fraction(2))
+        assert walls == (Fraction(1), Fraction(2))
         assert 1 in walls
         assert Fraction(3, 2) not in walls
 
     def test_values_sorted_distinct_positive(self):
         walls = critical_values(SystemType(3, 9, 3))
-        assert list(walls.values) == sorted(set(walls.values))
-        assert all(v > 0 for v in walls.values)
+        assert list(walls) == sorted(set(walls))
+        assert all(v > 0 for v in walls)
 
     @given(
         st.integers(min_value=1, max_value=6),
@@ -66,17 +66,17 @@ class TestCriticalValues:
         )
         d_max = d if degree_bound is None else degree_bound
         k_max = k if section_bound is None else section_bound
-        assert set(walls.values) == scan_walls(r, d, k, d_max, k_max)
+        assert set(walls) == scan_walls(r, d, k, d_max, k_max)
 
     def test_bounds_override_the_enumeration(self):
         t = SystemType(2, 4, 2)
-        assert set(critical_values(t, degree_bound=8, section_bound=2).values) == \
+        assert set(critical_values(t, degree_bound=8, section_bound=2)) == \
             scan_walls(2, 4, 2, 8, 2)
         with pytest.raises(ValueError):
             critical_values(t, degree_bound=-1)
 
     def test_rank_one_type_has_no_walls(self):
-        assert critical_values(SystemType(1, 5, 2)).values == ()
+        assert critical_values(SystemType(1, 5, 2)) == ()
 
 
 class TestThreshold:
@@ -183,7 +183,8 @@ class TestEquivalence:
 class TestRationalArguments:
     """Weights, slopes and lambdas are parsed like coordinates: no bool, float or decimal.
 
-    The integers of a type and the wall bounds take an int and nothing else.
+    The integers of a type, the wall bounds, the rank and weight of the
+    threshold and the genus take an int and nothing else.
     """
 
     @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
@@ -192,7 +193,6 @@ class TestRationalArguments:
         [
             lambda x: equivalence_check(standard_six_config(), x),
             lambda x: alpha_slope(SystemType(2, 4, 2), x),
-            lambda x: x in critical_values(SystemType(2, 4, 2)),
             lambda x: subsystem_violates(SystemType(2, 4, 2), SystemType(1, 1, 1), x),
             lambda x: destabilizing_example_config(2, [1, 2, x]),
             lambda x: SystemType(x, 4, 2),
@@ -200,10 +200,14 @@ class TestRationalArguments:
             lambda x: SystemType(2, 4, x),
             lambda x: critical_values(SystemType(2, 4, 2), degree_bound=x),
             lambda x: critical_values(SystemType(2, 4, 2), section_bound=x),
+            lambda x: stabilization_threshold(x, 2),
+            lambda x: stabilization_threshold(2, x),
+            lambda x: destabilizing_example_config(x),
         ],
         ids=[
-            "equivalence-g", "alpha-slope", "wall-membership", "violates-alpha", "lambdas",
+            "equivalence-g", "alpha-slope", "violates-alpha", "lambdas",
             "type-r", "type-d", "type-k", "degree-bound", "section-bound",
+            "threshold-r", "threshold-g", "genus",
         ],
     )
     def test_refused_with_a_schema_error(self, call, bad):

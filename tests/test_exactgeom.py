@@ -21,7 +21,6 @@ from stabgeom import (
     span_dim,
 )
 from stabgeom.exactgeom import (
-    SpannedSubspace,
     _canonical_int_vector,
     _flats,
     _frame_transform,
@@ -35,7 +34,7 @@ from stabgeom.exactgeom import (
     reduced_row_echelon,
 )
 
-from helpers import config_of, gauss_rank, rref
+from helpers import config_of, degenerate_configurations, gauss_rank, rref
 
 entries = st.integers(min_value=-30, max_value=30)
 small = st.integers(min_value=-3, max_value=3)
@@ -235,6 +234,11 @@ class TestConfigurationSchema:
         with pytest.raises(ValueError):
             PointConfiguration(3, [ProjectivePoint([1, 0])])
 
+    @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
+    def test_ambient_rank_must_be_an_int(self, bad):
+        with pytest.raises(SchemaError):
+            PointConfiguration(bad, [ProjectivePoint([1])])
+
 
 class TestRank:
     @given(matrices())
@@ -427,38 +431,13 @@ class TestSpans:
         )
         subs = point_spanned_subspaces(config)
         rows = config.rows()
-        assert len({s.basis for s in subs}) == len(subs)
-        for sub in subs:
-            assert 1 <= sub.dim < config.ambient_rank
-            members = {i for i in range(len(rows)) if in_span(sub.basis, rows[i])}
-            assert members == set(sub.members)
-        line = next(s for s in subs if s.dim == 2 and 0 in s.members and 2 in s.members)
-        assert set(line.members) == {0, 1, 2, 3}
-
-
-@st.composite
-def degenerate_configurations(draw):
-    """Up to 9 points of P^(r-1), r <= 5, with forced repeats and collinear points.
-
-    Points forced collinear are integer combinations of two earlier points.
-    """
-    r = draw(st.integers(min_value=1, max_value=5))
-    n = draw(st.integers(min_value=1, max_value=9))
-    rows = []
-    for _ in range(n):
-        kind = draw(st.sampled_from(("random", "repeat", "collinear")))
-        if kind == "repeat" and rows:
-            row = draw(st.sampled_from(rows))
-        elif kind == "collinear" and len(rows) >= 2:
-            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            s, t = draw(small), draw(small)
-            row = [s * x + t * y for x, y in zip(a, b)]
-        else:
-            row = draw(st.lists(small, min_size=r, max_size=r))
-        rows.append(row if any(row) else [1] + [0] * (r - 1))
-    if draw(st.integers(min_value=0, max_value=3)) == 0:
-        rows = [rows[0]] * n  # all points equal
-    return config_of(*rows)
+        bases = [echelon_basis([rows[i] for i in members]) for _, members in subs]
+        assert len(set(bases)) == len(subs)
+        for (dim, members), basis in zip(subs, bases):
+            assert 1 <= dim < config.ambient_rank
+            assert {i for i in range(len(rows)) if in_span(basis, rows[i])} == set(members)
+        line = next(m for d, m in subs if d == 2 and 0 in m and 2 in m)
+        assert set(line) == {0, 1, 2, 3}
 
 
 def reference_flats(config):
@@ -483,12 +462,9 @@ def reference_flats(config):
 
 def assert_flats_match_reference(config):
     subs = point_spanned_subspaces(config)
-    rows = config.rows()
-    assert {(s.members, s.dim) for s in subs} == reference_flats(config)
-    assert len(subs) == len({s.members for s in subs})
-    assert subs == sorted(subs, key=lambda s: (s.dim, s.members))
-    for sub in subs:
-        assert sub.basis == rref_basis([rows[i] for i in sub.members])
+    assert {(members, dim) for dim, members in subs} == reference_flats(config)
+    assert len(subs) == len({members for _, members in subs})
+    assert subs == sorted(subs)
 
 
 class TestPointSpannedSubspaces:
@@ -507,7 +483,7 @@ class TestPointSpannedSubspaces:
     def test_reverse_search_yields_each_flat_once(self, config):
         flats = list(_flats(config))
         assert len({members for _, members in flats}) == len(flats)
-        assert sorted(flats) == [(s.dim, s.members) for s in point_spanned_subspaces(config)]
+        assert sorted(flats) == point_spanned_subspaces(config)
 
     def test_rank_six_matches_the_reference_on_seeded_draws(self):
         # rank 6 is past the hypothesis test's range; its own rng stream
@@ -533,15 +509,7 @@ class TestPointSpannedSubspaces:
 
     def test_rank_two_flats_are_the_distinct_points(self):
         config = config_of((1, 0), (2, 0), (0, 1), (1, 1), (0, -3), (-1, -1), (2, -1))
-        rows = config.rows()
-        subs = point_spanned_subspaces(config)
-        assert subs == [
-            SpannedSubspace(dim=1, members=(0, 1), rows=rows),
-            SpannedSubspace(dim=1, members=(2, 4), rows=rows),
-            SpannedSubspace(dim=1, members=(3, 5), rows=rows),
-            SpannedSubspace(dim=1, members=(6,), rows=rows),
-        ]
-        assert [sub.basis for sub in subs] == [((1, 0),), ((0, 1),), ((1, 1),), ((2, -1),)]
+        assert point_spanned_subspaces(config) == [(1, (0, 1)), (1, (2, 4)), (1, (3, 5)), (1, (6,))]
 
 
 class TestProjectiveEquivalence:

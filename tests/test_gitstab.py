@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stabgeom import (
     SchemaError,
@@ -17,9 +17,16 @@ from stabgeom import (
     oracle_classify,
     worst_subspace,
 )
+from stabgeom.exactgeom import point_spanned_subspaces
 from stabgeom.randconf import random_configuration, random_transform
 
-from helpers import config_of, gauss_rank, matroid_partition, triple_point_config
+from helpers import (
+    config_of,
+    degenerate_configurations,
+    gauss_rank,
+    matroid_partition,
+    triple_point_config,
+)
 
 
 class TestKnownVerdicts:
@@ -139,13 +146,20 @@ class TestWitnessContract:
         assert verdict.margin == 2 - g
         assert oracle_classify(config, g) == verdict
 
-    def test_worst_subspace_margin_matches_witness(self):
-        config = triple_point_config()
-        subspace, margin = worst_subspace(config, 2)
-        assert margin == Fraction(1)
-        assert subspace.dim == 1
-        assert subspace.members == (0, 1, 2)
-        assert subspace.basis == ((1, 0, 0),)
+    @settings(max_examples=100, deadline=None)
+    @given(degenerate_configurations(), st.sampled_from([2, 3, Fraction(3, 2)]))
+    @example(triple_point_config(), 2)
+    def test_worst_subspace_margin_matches_witness(self, config, g):
+        verdict = classify(config, g)
+        if config.ambient_rank == 1:
+            with pytest.raises(ValueError):
+                worst_subspace(config, g)
+            return
+        flat, margin = worst_subspace(config, g)
+        assert margin == verdict.margin
+        assert flat in point_spanned_subspaces(config)
+        if margin >= 0:
+            assert flat == (verdict.witness.span_dim, verdict.witness.indices)
 
 
 class TestOracleAgreement:

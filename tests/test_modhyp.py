@@ -426,6 +426,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_segre_points(-1)
 
+    @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
+    @pytest.mark.parametrize("call", [sample_segre_points, duality_check])
+    def test_count_must_be_an_int(self, call, bad):
+        with pytest.raises(SchemaError):
+            call(bad)
+
     def test_zero_count(self):
         assert sample_segre_points(0) == []
 

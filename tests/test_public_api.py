@@ -1,10 +1,14 @@
-"""The public names of the stabgeom package, pinned.
+"""The public names of the stabgeom package, pinned, and README's Library example, run.
 
 Adding or removing a name from ``stabgeom/__init__.py`` changes the
 library API; this test makes such a change show up as an edit here.
 """
 
+import contextlib
 import inspect
+import io
+import re
+from pathlib import Path
 
 import stabgeom
 
@@ -26,7 +30,6 @@ PUBLIC_NAMES = {
     "oracle_classify",
     "worst_subspace",
     # coherent-system slopes and the dictionary
-    "CriticalValueSet",
     "EquivalenceReport",
     "SystemType",
     "alpha_slope",
@@ -86,3 +89,13 @@ def test_public_names_are_exactly_the_pinned_set():
     }
     assert names == PUBLIC_NAMES
 
+
+def test_readme_library_example_runs():
+    # a README that still names a removed API fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue() == "Stable\n"

@@ -2,13 +2,17 @@
 
 import pytest
 
-from stabgeom import run_all
+from stabgeom import SchemaError, run_all
 from stabgeom.verify import (
     CheckResult,
     check_combinatorics,
     check_destabilizing_example,
+    check_dictionary,
+    check_duality,
     check_gale,
+    check_git_oracle,
     check_igusa,
+    check_segre_nodes,
     check_thresholds,
 )
 
@@ -85,3 +89,25 @@ class TestRunAll:
         assert payload["seed"] == 9
         assert len(payload["checks"]) == 9
         assert "elapsed" not in payload
+
+
+class TestIntegerArguments:
+    """Every case and sample count takes an int: no bool, float or string."""
+
+    @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            check_git_oracle,
+            check_dictionary,
+            lambda x: check_gale(x, 0),
+            lambda x: check_gale(0, x),
+            check_segre_nodes,
+            check_duality,
+            run_all,
+        ],
+        ids=["git-oracle", "dictionary", "involutions", "assoc-cases", "segre", "duality", "run-all"],
+    )
+    def test_refused_with_a_schema_error(self, call, bad):
+        with pytest.raises(SchemaError):
+            call(bad)
