@@ -17,7 +17,6 @@ from typing import Sequence
 from .cohsys import (
     SystemType,
     _alpha_verdicts,
-    _check_alpha,
     _check_size,
     critical_values,
     destabilizing_example_config,
@@ -25,7 +24,7 @@ from .cohsys import (
     subsystem_types_from_config,
 )
 from .errors import FrameDegenerateError, SchemaError, UsageError
-from .exactgeom import PointConfiguration, format_scalar, parse_scalar
+from .exactgeom import PointConfiguration, _check_int, _positive, format_scalar, parse_scalar
 from .gale import gale_transform
 from .gitstab import classify
 from .modhyp import duality_check, incidence_15_3
@@ -86,9 +85,9 @@ def _cmd_alpha_check(args: argparse.Namespace) -> int:
     g = parse_scalar(args.g)
     alpha = parse_scalar(args.alpha)
     weight = _check_size(config, g)
-    a = _check_alpha(alpha)
+    _positive(alpha, "alpha")
     types = subsystem_types_from_config(config)
-    semistable, stable = _alpha_verdicts(types, weight, a)
+    semistable, stable = _alpha_verdicts(types, weight, alpha)
     _emit(
         {
             "g": format_scalar(g),
@@ -133,6 +132,8 @@ def _cmd_gale(args: argparse.Namespace) -> int:
 
 
 def _cmd_hypersurface_verify(args: argparse.Namespace) -> int:
+    if args.samples is not None:
+        _check_int(args.samples, "samples", 0)
     if args.target == "segre":
         search = 10_000 if args.samples is None else args.samples
         result = check_segre_nodes(search, args.seed)

@@ -21,6 +21,7 @@ from .exactgeom import (
     _check_int,
     _Flat,
     _flats,
+    _positive,
     format_scalar,
     parse_scalar,
 )
@@ -36,12 +37,9 @@ class SystemType:
     k: int
 
     def __post_init__(self):
-        for name in ("r", "d", "k"):
-            _check_int(getattr(self, name), name)
-        if self.r < 1:
-            raise ValueError("rank must be at least 1")
-        if self.d < 0 or self.k < 0:
-            raise ValueError("degree and section count must be nonnegative")
+        _check_int(self.r, "rank", 1)
+        _check_int(self.d, "degree", 0)
+        _check_int(self.k, "section count", 0)
 
 
 def alpha_slope(t: SystemType, alpha: ScalarLike) -> Fraction:
@@ -63,10 +61,8 @@ def critical_values(
     finite wall exists. The wall is (s*d - r*d') / (r*k' - s*k), so only
     the d' on the side of s*d/r that makes it positive are visited.
     """
-    d_max = t.d if degree_bound is None else _check_int(degree_bound, "degree_bound")
-    k_max = t.k if section_bound is None else _check_int(section_bound, "section_bound")
-    if d_max < 0 or k_max < 0:
-        raise ValueError("bounds must be nonnegative")
+    d_max = t.d if degree_bound is None else _check_int(degree_bound, "degree bound", 0)
+    k_max = t.k if section_bound is None else _check_int(section_bound, "section bound", 0)
     found: set[Fraction] = set()
     for s in range(1, t.r):
         for kp in range(k_max + 1):
@@ -83,8 +79,8 @@ def critical_values(
 
 def stabilization_threshold(r: int, g: int) -> int:
     """g*(r-1): above this alpha no new wall from section-deficient subtypes opens."""
-    if _check_int(r, "r") < 1 or _check_int(g, "g") < 1:
-        raise ValueError("rank and weight must be positive")
+    _check_int(r, "rank", 1)
+    _check_int(g, "weight", 1)
     return g * (r - 1)
 
 
@@ -121,13 +117,6 @@ def _check_size(config: PointConfiguration, g: ScalarLike) -> Fraction:
             f"expected r*g = {config.ambient_rank}*{weight} points, got {len(config)}"
         )
     return weight
-
-
-def _check_alpha(alpha: ScalarLike) -> Fraction:
-    a = parse_scalar(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
-    return a
 
 
 def _alpha_verdicts(
@@ -190,7 +179,7 @@ def subsystem_violates(full: SystemType, sub: SystemType, alpha: ScalarLike) -> 
     """Whether the subsystem type has strictly larger alpha-slope than the full type."""
     if full == sub:
         raise ValueError("subsystem type must differ from the full type")
-    a = _check_alpha(alpha)
+    a = _positive(alpha, "alpha")
     return alpha_slope(sub, a) > alpha_slope(full, a)
 
 
@@ -202,8 +191,7 @@ def destabilizing_example_config(
     genus - 1 coincident points at [1:0] plus genus + 1 pairwise distinct
     points [lambda_i : 1] with nonzero lambda_i; 2*genus points in total.
     """
-    if _check_int(genus, "genus") < 2:
-        raise ValueError("genus must be at least 2")
+    _check_int(genus, "genus", 2)
     if lambdas is None:
         values = [Fraction(i) for i in range(1, genus + 2)]
     else:

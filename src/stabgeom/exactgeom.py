@@ -56,11 +56,25 @@ def format_scalar(value: ScalarLike) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _check_int(value: object, what: str) -> int:
-    """Return value if it is an int; a bool, a float or a string raises SchemaError."""
+def _check_int(value: object, what: str, least: int) -> int:
+    """Return value if it is an int of at least ``least``.
+
+    A bool, a float or a string raises SchemaError; a smaller int raises ValueError.
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{what} must be an integer: {value!r}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}")
     return value
+
+
+def _positive(value: ScalarLike, what: str) -> Fraction:
+    """Parse a rational and refuse it unless it is positive."""
+    q = parse_scalar(value)
+    if q <= 0:
+        raise ValueError(f"{what} must be positive")
+    return q
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
@@ -119,8 +133,7 @@ class PointConfiguration:
 
     def __init__(self, ambient_rank: int, points: Iterable[ProjectivePoint]):
         pts = tuple(points)
-        if _check_int(ambient_rank, "ambient_rank") < 1:
-            raise ValueError("ambient rank must be at least 1")
+        _check_int(ambient_rank, "ambient rank", 1)
         if not pts:
             raise ValueError("a configuration needs at least one point")
         for p in pts:
@@ -386,10 +399,6 @@ class ProjectiveTransform:
             raise ValueError("transform matrix must be invertible")
         flat = _primitive(flat)
         object.__setattr__(self, "matrix", tuple(flat[i * n:(i + 1) * n] for i in range(n)))
-
-    @property
-    def ambient_rank(self) -> int:
-        return len(self.matrix)
 
     def apply(self, point: ProjectivePoint) -> ProjectivePoint:
         if len(point) != len(self.matrix):

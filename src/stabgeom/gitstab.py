@@ -26,8 +26,8 @@ from .exactgeom import (
     ScalarLike,
     _Flat,
     _flats,
+    _positive,
     _rank_ints,
-    parse_scalar,
 )
 
 DEFAULT_ORACLE_CAP = 12
@@ -80,13 +80,6 @@ class StabilityVerdict:
         return self.classification is StabilityClass.STABLE
 
 
-def _coerce_weight(g: ScalarLike) -> Fraction:
-    weight = parse_scalar(g)
-    if weight <= 0:
-        raise ValueError("weight g must be positive")
-    return weight
-
-
 def _verdict(best: _Flat | None, g: Fraction) -> StabilityVerdict:
     """The verdict for the worst (dim, members) subset: its margin k - g*s and witness."""
     if best is None:
@@ -121,13 +114,13 @@ def classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:
     worst margin k - g*s, ties broken by smaller size then lexicographic
     index order. The verdict carries that margin.
     """
-    weight = _coerce_weight(g)
+    weight = _positive(g, "weight g")
     return _verdict(_best_point_spanned(_flats(config), weight), weight)
 
 
 def worst_subspace(config: PointConfiguration, g: ScalarLike) -> tuple[_Flat, Fraction]:
     """The (dim, members) flat W maximizing (#points in W) - g*dim(W), with that margin."""
-    weight = _coerce_weight(g)
+    weight = _positive(g, "weight g")
     best = _best_point_spanned(_flats(config), weight)
     if best is None:
         raise ValueError("no proper point-spanned subspace exists (ambient rank 1)")
@@ -141,7 +134,7 @@ def oracle_classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdi
     Refuses configurations larger than 12 points unless the environment
     variable STAB_MAX_SUBSET_SIZE raises the cap.
     """
-    weight = _coerce_weight(g)
+    weight = _positive(g, "weight g")
     n = len(config)
     cap = DEFAULT_ORACLE_CAP
     override = os.environ.get(ORACLE_CAP_ENV)

@@ -193,8 +193,7 @@ class SymmetricHypersurfaceModel:
     image. The gradient follows by the chain rule with
     dp_k/dx_i = k*x_i^(k-1), the Hessian from the second derivatives in
     the p_k, so integer coordinates stay integers. The derivatives in the
-    p_k are taken once per model. ``polynomial`` is the expanded form,
-    kept for cross-checks.
+    p_k are taken once per model.
     """
 
     name: str
@@ -230,17 +229,6 @@ class SymmetricHypersurfaceModel:
         # equality, hash and repr see only name, degree and terms
         orders = sorted({k for parts, _ in clean for k in parts})
         object.__setattr__(self, "_chain", tuple((k, _d_dp(clean, k)) for k in orders))
-
-    @property
-    def polynomial(self) -> Polynomial:
-        """The expanded form in the six coordinates; evaluation never uses it."""
-        out = Polynomial()
-        for parts, coeff in self.terms:
-            term = Polynomial({(0,) * NVARS: coeff})
-            for k in parts:
-                term = term * Polynomial.power_sum(k)
-            out = out + term
-        return out
 
     def _powers(self, point: "AmbientPoint | Sequence[ScalarLike]") -> tuple[list, list]:
         """Columns cols[j][i] = x_i^j for j = 0 .. degree, and the power sums p_0 .. p_degree."""
@@ -307,9 +295,6 @@ class AmbientPoint:
         if sum(ints) != 0:
             raise ValueError("coordinates must sum to zero")
         object.__setattr__(self, "coords", ints)
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coords]
 
 
 def segre_cubic() -> SymmetricHypersurfaceModel:
@@ -545,8 +530,7 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
     gradient, and since both tests only reject, their order does not
     change which points are drawn.
     """
-    if _check_int(count, "count") < 0:
-        raise ValueError("count must be nonnegative")
+    _check_int(count, "count", 0)
     model = segre_cubic()
     nodes = [n.point for n in segre_nodes()]
     out = []
@@ -614,8 +598,7 @@ def duality_check(samples: int, seed: int = 0) -> DualityReport:
     raised. A sample costs three power passes: x on the cubic, y on the
     quartic (value, singularity test and reverse image) and z on the cubic.
     """
-    if _check_int(samples, "samples") < 0:
-        raise ValueError("samples must be nonnegative")
+    _check_int(samples, "samples", 0)
     segre = segre_cubic()
     igusa = igusa_quartic()
     points = sample_segre_points(samples, seed)

@@ -118,7 +118,7 @@ def _check(name: str):
 @_check("git-oracle-agreement")
 def check_git_oracle(cases: int = 1000, seed: int = 0) -> tuple[list[str], str]:
     """Pruned classifier against the literal all-subsets oracle, full verdicts."""
-    _check_int(cases, "cases")
+    _check_int(cases, "cases", 0)
     rng = random.Random(seed * _SEED_STRIDE + 11)
     weights = (2, 3, 4, Fraction(3, 2))
     failures: list[str] = []
@@ -140,7 +140,7 @@ def check_git_oracle(cases: int = 1000, seed: int = 0) -> tuple[list[str], str]:
 @_check("dictionary-agreement")
 def check_dictionary(cases: int = 1000, seed: int = 0) -> tuple[list[str], str]:
     """Span-criterion verdicts against the alpha test past the threshold."""
-    _check_int(cases, "cases")
+    _check_int(cases, "cases", 0)
     rng = random.Random(seed * _SEED_STRIDE + 22)
     failures: list[str] = []
     for i in range(cases):
@@ -262,8 +262,8 @@ def check_gale(
     involutions: int = 100, assoc_cases: int = 10, seed: int = 0
 ) -> tuple[list[str], str]:
     """Involution, the conic self-association criterion, and the product identity."""
-    _check_int(involutions, "involutions")
-    _check_int(assoc_cases, "assoc_cases")
+    _check_int(involutions, "involutions", 0)
+    _check_int(assoc_cases, "assoc_cases", 0)
     rng = random.Random(seed * _SEED_STRIDE + 33)
     failures: list[str] = []
     for i in range(involutions):
@@ -309,8 +309,7 @@ def check_gale(
 @_check("segre-nodes")
 def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> tuple[list[str], str]:
     """The ten nodes, their type, the split bijection, and a random search for strays."""
-    if _check_int(search_points, "search_points") < 0:
-        raise ValueError("samples must be nonnegative")
+    _check_int(search_points, "samples", 0)
     model = segre_cubic()
     failures: list[str] = []
     nodes = segre_nodes()
@@ -406,15 +405,12 @@ def check_duality(samples: int = 200, seed: int = 0) -> tuple[list[str], str]:
     """Both polar directions, exactly, on every sampled cubic point."""
     report = duality_check(samples, seed)
     failures: list[str] = []
-    if report.forward_ok != samples:
-        failures.append(f"forward identities: {report.forward_ok}/{samples}")
-    if report.reverse_ok != samples or report.reverse_skipped != 0:
+    if not report.passed:
         failures.append(
-            f"reverse identities: {report.reverse_ok}/{samples} "
-            f"({report.reverse_skipped} skipped)"
+            f"identities: forward {report.forward_ok}/{samples}, reverse "
+            f"{report.reverse_ok}/{samples} ({report.reverse_skipped} skipped)"
         )
-    for direction, coords in report.counterexamples:
-        failures.append(f"{direction} counterexample at {coords}")
+        failures += [f"{d} counterexample at {c}" for d, c in report.counterexamples]
     return failures, (
         f"{samples}/{samples} forward and {samples}/{samples} reverse identities hold exactly"
     )
@@ -471,8 +467,7 @@ def run_all(samples: int = 200, seed: int = 0) -> VerificationReport:
     The fixed-example and combinatorial checks always run; samples sizes
     only the duality sample set.
     """
-    if _check_int(samples, "samples") < 0:
-        raise ValueError("samples must be nonnegative")
+    _check_int(samples, "samples", 0)
     randomized = samples > 0
     checks = (
         check_git_oracle(seed=seed) if randomized else check_git_oracle.skipped,

@@ -97,6 +97,17 @@ def matroid_partition(rows, p, q=1):
 _LINE_PARAMS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
 
 
+def expanded(model):
+    """The model's power-sum form expanded into a ``Polynomial`` in the six coordinates."""
+    out = Polynomial()
+    for parts, coeff in model.terms:
+        term = Polynomial({(0,) * NVARS: coeff})
+        for k in parts:
+            term = term * Polynomial.power_sum(k)
+        out = out + term
+    return out
+
+
 def pencil_member():
     """The member a*(sum x^2)^2 + b*sum(x^4) singular along all matching lines.
 

@@ -207,6 +207,23 @@ class TestCriticalValues:
         assert all(isinstance(v, str) for v in values)
         assert values == sorted(values, key=Fraction)
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("-r", "0", "rank must be at least 1"),
+            ("-d", "-1", "degree must be nonnegative"),
+            ("-k", "-1", "section count must be nonnegative"),
+            ("--degree-bound", "-1", "degree bound must be nonnegative"),
+            ("--section-bound", "-1", "section bound must be nonnegative"),
+        ],
+    )
+    def test_out_of_range_integer_names_the_argument(self, cli, flag, value, message):
+        # a repeated flag takes its last value
+        code, out, err = cli(["critical-values", "-r", "2", "-d", "4", "-k", "2", flag, value])
+        assert code == 2
+        assert out == ""
+        assert payload(err) == {"error": {"type": "ValueError", "message": message}}
+
 
 class TestAlphaCheck:
     def test_payload_shape(self, cli, config_file):
@@ -669,6 +686,7 @@ class TestHypersurface:
             (["hypersurface", "verify", "segre"], "samples must be nonnegative"),
             (["hypersurface", "verify", "duality"], "samples must be nonnegative"),
             (["verify-all"], "samples must be nonnegative"),
+            (["hypersurface", "verify", "igusa"], "samples must be nonnegative"),
         ],
     )
     def test_negative_samples_exit_two(self, cli, argv, message):
@@ -720,6 +738,8 @@ class TestHypersurface:
         [
             (["hypersurface", "verify", "igusa"], 4),
             (["hypersurface", "verify", "segre", "--samples", "0"], 3),
+            (["hypersurface", "verify", "duality", "--samples", "5"], 3),
+            (["hypersurface", "verify", "duality", "--samples", "5"], 4),
         ],
     )
     def test_wrong_model_is_reported_not_raised(self, cli, monkeypatch, argv, degree):

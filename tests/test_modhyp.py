@@ -28,7 +28,7 @@ from stabgeom import (
 )
 from stabgeom.modhyp import NVARS, Polynomial, _sign_paired
 
-from helpers import gauss_rank, pencil_member, sign_paired_by_matching
+from helpers import expanded, gauss_rank, pencil_member, sign_paired_by_matching
 
 
 class TestPolynomial:
@@ -71,7 +71,7 @@ class TestPolynomial:
 class TestModels:
     def test_full_symmetric_group_invariance(self):
         for model in (segre_cubic(), igusa_quartic()):
-            poly = model.polynomial
+            poly = expanded(model)
             for perm in permutations(range(NVARS)):
                 assert poly.permuted(perm) == poly
 
@@ -128,7 +128,7 @@ class TestModels:
 
     def test_quartic_equals_the_unique_pencil_member(self):
         expected = Polynomial.power_sum(2) ** 2 + (-4) * Polynomial.power_sum(4)
-        assert igusa_quartic().polynomial == expected
+        assert expanded(igusa_quartic()) == expected
         assert pencil_member() == expected
 
     def test_degrees_and_names(self):
@@ -180,7 +180,7 @@ class TestPowerSumCore:
     """The power-sum evaluation against the expanded Polynomial form."""
 
     def _agree(self, model, coords):
-        poly = model.polynomial
+        poly = expanded(model)
         assert model.evaluate(coords) == poly.evaluate(coords)
         assert model.gradient(coords) == tuple(d.evaluate(coords) for d in poly.partials())
         hess = _expanded_hessian(poly, coords)
@@ -230,7 +230,7 @@ class TestPowerSumCore:
         with pytest.raises(SchemaError):
             AmbientPoint(coords)
         for model in (segre_cubic(), igusa_quartic()):
-            for method in (model.evaluate, model.gradient, model.hessian, model.polynomial.evaluate):
+            for method in (model.evaluate, model.gradient, model.hessian, expanded(model).evaluate):
                 with pytest.raises(SchemaError):
                     method(coords)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from stabgeom import SchemaError, run_all
+from stabgeom.modhyp import DualityReport
 from stabgeom.verify import (
     CheckResult,
     check_combinatorics,
@@ -91,23 +92,43 @@ class TestRunAll:
         assert "elapsed" not in payload
 
 
+_COUNTED = pytest.mark.parametrize(
+    "call",
+    [
+        check_git_oracle,
+        check_dictionary,
+        lambda x: check_gale(x, 0),
+        lambda x: check_gale(0, x),
+        check_segre_nodes,
+        check_duality,
+        run_all,
+    ],
+    ids=["git-oracle", "dictionary", "involutions", "assoc-cases", "segre", "duality", "run-all"],
+)
+
+
 class TestIntegerArguments:
-    """Every case and sample count takes an int: no bool, float or string."""
+    """Every case and sample count takes a nonnegative int: no bool, float or string."""
 
     @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            check_git_oracle,
-            check_dictionary,
-            lambda x: check_gale(x, 0),
-            lambda x: check_gale(0, x),
-            check_segre_nodes,
-            check_duality,
-            run_all,
-        ],
-        ids=["git-oracle", "dictionary", "involutions", "assoc-cases", "segre", "duality", "run-all"],
-    )
+    @_COUNTED
     def test_refused_with_a_schema_error(self, call, bad):
         with pytest.raises(SchemaError):
             call(bad)
+
+    @_COUNTED
+    def test_negative_refused_with_a_value_error(self, call):
+        with pytest.raises(ValueError) as exc:
+            call(-1)
+        assert type(exc.value) is ValueError
+
+
+class TestDualityVerdict:
+    def test_a_skipped_reverse_image_fails_the_check(self, monkeypatch):
+        skipping = DualityReport(
+            samples=5, forward_ok=5, reverse_ok=4, reverse_skipped=1, counterexamples=()
+        )
+        monkeypatch.setattr("stabgeom.verify.duality_check", lambda *a, **k: skipping)
+        result = check_duality(5)
+        assert not result.passed
+        assert result.detail == "identities: forward 5/5, reverse 4/5 (1 skipped)"
