@@ -37,7 +37,6 @@ from .exactgeom import (
     parse_scalar,
     projectively_equivalent,
     rank,
-    span_dim,
 )
 from .gale import (
     GaleData,

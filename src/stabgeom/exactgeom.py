@@ -56,10 +56,11 @@ def format_scalar(value: ScalarLike) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _check_int(value: object, what: str, least: int) -> int:
+def _check_int(value: object, what: str, least: float) -> int:
     """Return value if it is an int of at least ``least``.
 
-    A bool, a float or a string raises SchemaError; a smaller int raises ValueError.
+    A bool, a float or a string raises SchemaError; a smaller int raises
+    ValueError. A seed's ``least`` is ``-math.inf``.
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{what} must be an integer: {value!r}")
@@ -194,13 +195,20 @@ class PointConfiguration:
         )
 
 
+def _entries(row: Iterable[ScalarLike]) -> list:
+    """The row as a fresh list; a str or bytes is refused, not read character by character."""
+    if isinstance(row, (str, bytes)):
+        raise SchemaError(f"a coordinate vector cannot be a string: {row!r}")
+    return list(row)
+
+
 def _clear_row_to_ints(row: Iterable[ScalarLike]) -> list[int]:
     """The row scaled by the lcm of its denominators, as a fresh integer list.
 
     All-int rows skip the Fractions (``type(x) is int`` keeps bool out, so
     parse_scalar still rejects it).
     """
-    values = list(row)
+    values = _entries(row)
     if all(type(x) is int for x in values):
         return values
     fracs = [parse_scalar(x) for x in values]
@@ -390,7 +398,7 @@ class ProjectiveTransform:
     matrix: tuple[tuple[int, ...], ...]
 
     def __init__(self, matrix: Sequence[Sequence[ScalarLike]]):
-        rows = [list(row) for row in matrix]
+        rows = [_entries(row) for row in matrix]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("transform matrix must be square")
@@ -406,21 +414,6 @@ class ProjectiveTransform:
                 f"point has {len(point)} coordinates, transform acts on {len(self.matrix)}"
             )
         return ProjectivePoint(_mat_vec_ints(self.matrix, point.coords))
-
-    def inverse(self) -> "ProjectiveTransform":
-        return ProjectiveTransform(_inverse_ints(self.matrix))
-
-
-def span_dim(config: PointConfiguration, subset: Iterable[int]) -> int:
-    """Linear dimension of the span of the selected points; 0 for the empty set."""
-    indices = sorted(set(subset))
-    if not indices:
-        return 0
-    n = len(config)
-    for i in indices:
-        if not 0 <= i < n:
-            raise IndexError(f"point index {i} out of range")
-    return _rank_ints([list(config.points[i].coords) for i in indices])
 
 
 _Flat = tuple[int, tuple[int, ...]]

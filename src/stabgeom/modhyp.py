@@ -495,11 +495,10 @@ def _polar_image(grad: Sequence) -> AmbientPoint:
     return AmbientPoint(centered)
 
 
-def _random_direction(rng: random.Random) -> list[int] | None:
+def _random_direction(rng: random.Random) -> list[int]:
+    """A direction in the hyperplane; the zero one has a3 = 0 and is skipped with those."""
     w = [rng.randint(-9, 9) for _ in range(NVARS - 1)]
     w.append(-sum(w))
-    if not any(w):
-        return None
     return w
 
 
@@ -531,6 +530,7 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
     change which points are drawn.
     """
     _check_int(count, "count", 0)
+    _check_int(seed, "seed", -math.inf)
     model = segre_cubic()
     nodes = [n.point for n in segre_nodes()]
     out = []
@@ -539,8 +539,6 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
         for _ in range(200):
             nu = nodes[rng.randrange(len(nodes))].coords
             w = _random_direction(rng)
-            if w is None:
-                continue
             a2 = 3 * sum(n * wi * wi for n, wi in zip(nu, w))
             a3 = sum(wi**3 for wi in w)
             if a3 == 0 or a2 == 0:

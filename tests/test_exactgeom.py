@@ -18,7 +18,6 @@ from stabgeom import (
     parse_scalar,
     projectively_equivalent,
     rank,
-    span_dim,
 )
 from stabgeom.exactgeom import (
     _canonical_int_vector,
@@ -234,6 +233,38 @@ class TestConfigurationSchema:
         with pytest.raises(ValueError):
             PointConfiguration(3, [ProjectivePoint([1, 0])])
 
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: ProjectivePoint([]), ValueError, "^empty coordinate vector$"),
+            (lambda: PointConfiguration(2, []), ValueError, "at least one point"),
+            (lambda: PointConfiguration(2, [(1, 0)]), TypeError, "ProjectivePoint instances"),
+            (lambda: PointConfiguration.from_rows([]), ValueError, "^no rows given$"),
+        ],
+        ids=["empty-vector", "no-points", "not-a-point", "no-rows"],
+    )
+    def test_empty_and_foreign_input_refused(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ProjectivePoint("12"),
+            lambda: ProjectivePoint(b"12"),
+            lambda: PointConfiguration.from_rows(["12", "34"]),
+            lambda: ProjectiveTransform(["12", "34"]),
+            lambda: ProjectiveTransform("12"),
+            lambda: rank(["12", "34"]),
+            lambda: kernel_basis([[1, 2], "34"]),
+        ],
+        ids=["point", "bytes", "from-rows", "transform", "transform-string", "rank", "kernel"],
+    )
+    def test_a_string_is_not_a_coordinate_vector(self, build):
+        # read character by character, "12" would be the point (1, 2) and b"12" (49, 50)
+        with pytest.raises(SchemaError, match="cannot be a string"):
+            build()
+
     @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
     def test_ambient_rank_must_be_an_int(self, bad):
         with pytest.raises(SchemaError):
@@ -353,7 +384,8 @@ class TestEchelonAndKernel:
             with pytest.raises(ValueError, match="^transform matrix must be invertible$"):
                 ProjectiveTransform(m)
         else:
-            assert ProjectiveTransform(m).inverse() == ProjectiveTransform(expected)
+            inverse = _inverse_ints(ProjectiveTransform(m).matrix)
+            assert ProjectiveTransform(inverse) == ProjectiveTransform(expected)
 
     def test_kernel_of_full_column_rank_is_empty(self):
         assert kernel_basis([[1, 2], [3, 4], [5, 6]]) == []
@@ -385,10 +417,11 @@ class TestTransforms:
         if rank(m) != 3:
             return
         t = ProjectiveTransform(m)
-        assert t.inverse().inverse() == t
+        inverse = ProjectiveTransform(_inverse_ints(t.matrix))
+        assert ProjectiveTransform(_inverse_ints(inverse.matrix)) == t
         for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)):
             point = ProjectivePoint(p)
-            assert t.inverse().apply(t.apply(point)) == point
+            assert inverse.apply(t.apply(point)) == point
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -413,18 +446,6 @@ class TestTransforms:
 
 
 class TestSpans:
-    def test_span_dim_counts_independent_points(self):
-        config = config_of((1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0))
-        assert span_dim(config, [0, 1]) == 1
-        assert span_dim(config, [0, 2]) == 2
-        assert span_dim(config, [0, 1, 2, 3]) == 2
-        assert span_dim(config, []) == 0
-
-    def test_span_dim_checks_bounds(self):
-        config = config_of((1, 0), (0, 1))
-        with pytest.raises(IndexError):
-            span_dim(config, [5])
-
     def test_point_spanned_subspaces_are_closed_and_proper(self):
         config = config_of(
             (1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)
@@ -546,6 +567,19 @@ class TestProjectiveEquivalence:
         a = config_of((1, 0), (0, 1), (1, 1))
         with pytest.raises(ValueError):
             projectively_equivalent(a, a)
+
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            (config_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), "different ambient ranks"),
+            (config_of((1, 0), (0, 1), (1, 1), (1, 2), (1, 3)), "different sizes"),
+        ],
+        ids=["rank", "size"],
+    )
+    def test_mismatched_configurations_rejected(self, other, message):
+        a = config_of((1, 0), (0, 1), (1, 1), (1, 2))
+        with pytest.raises(ValueError, match=message):
+            projectively_equivalent(a, other)
 
 
 def frame_in_general_position(rows, r):

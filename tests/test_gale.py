@@ -112,6 +112,10 @@ class TestTransform:
         with pytest.raises(ValueError):
             gale_transform(config_of((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
+    def test_random_frame_needs_a_full_frame(self):
+        with pytest.raises(ValueError, match="rank \\+ 2 points"):
+            random_frame_configuration(random.Random(0), 3, 4)
+
     def test_non_spanning_configuration_rejected(self):
         config = config_of(
             (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (2, 1, 0), (3, 1, 0)
@@ -138,6 +142,10 @@ class TestGaleData:
             GaleData(source=data.source, target=data.target, diag=(0,) * 6)
         with pytest.raises(ValueError):
             GaleData(source=data.source, target=data.target, diag=(1,) * 5)
+        # six points of P^2 against six of P^1: 2 + 1 + 2 != 6
+        line = config_of((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4))
+        with pytest.raises(ValueError, match="gamma must equal r"):
+            GaleData(source=data.source, target=line, diag=data.diag)
 
     def test_accepts_a_rational_multiple_of_the_witness(self):
         config = config_of((1, 2, 3), (2, -1, 4), (3, 5, -2), (1, 1, 1), (4, 1, 7), (2, 3, 5))

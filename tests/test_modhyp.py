@@ -26,7 +26,7 @@ from stabgeom import (
     three_three_splits,
     verify_singular_point,
 )
-from stabgeom.modhyp import NVARS, Polynomial, _sign_paired
+from stabgeom.modhyp import NVARS, Polynomial, SegreNode, _sign_paired
 
 from helpers import expanded, gauss_rank, pencil_member, sign_paired_by_matching
 
@@ -249,6 +249,11 @@ class TestAmbientPoint:
         with pytest.raises(ValueError):
             AmbientPoint([1, -1])
 
+    @pytest.mark.parametrize("method", ["evaluate", "gradient", "hessian"])
+    def test_a_model_refuses_a_short_vector(self, method):
+        with pytest.raises(ValueError, match="^need 6 coordinates$"):
+            getattr(segre_cubic(), method)([1, -1])
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             AmbientPoint([0] * 6)
@@ -434,6 +439,29 @@ class TestSampling:
 
     def test_zero_count(self):
         assert sample_segre_points(0) == []
+
+    @pytest.mark.parametrize(
+        "name, fake, message",
+        [
+            # a point off the cubic: the residual formula needs a node
+            (
+                "segre_nodes",
+                lambda: [SegreNode(AmbientPoint((1, 1, 1, 1, 1, -5)), three_three_splits()[0])],
+                "^residual intersection left the cubic$",
+            ),
+            # a3 = 1 - 1 = 0 on every draw
+            (
+                "_random_direction",
+                lambda rng: [1, -1, 0, 0, 0, 0],
+                "^sampling failed to find a usable direction$",
+            ),
+        ],
+        ids=["not-a-node", "flat-direction"],
+    )
+    def test_a_wrong_node_or_direction_raises(self, monkeypatch, name, fake, message):
+        monkeypatch.setattr(f"stabgeom.modhyp.{name}", fake)
+        with pytest.raises(RuntimeError, match=message):
+            sample_segre_points(1)
 
 
 class TestSignPaired:

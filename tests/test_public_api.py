@@ -21,7 +21,6 @@ PUBLIC_NAMES = {
     "parse_scalar",
     "projectively_equivalent",
     "rank",
-    "span_dim",
     # span-criterion stability
     "StabilityClass",
     "StabilityVerdict",
