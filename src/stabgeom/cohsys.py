@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .errors import SizeMismatchError
 from .exactgeom import (
@@ -19,13 +18,12 @@ from .exactgeom import (
     ProjectivePoint,
     ScalarLike,
     _check_int,
-    _Flat,
     _flats,
     _positive,
     format_scalar,
     parse_scalar,
 )
-from .gitstab import StabilityVerdict, _best_point_spanned, _verdict
+from .gitstab import StabilityVerdict, _verdict, _worst_flat
 
 
 @dataclass(frozen=True)
@@ -91,16 +89,12 @@ def subsystem_types_from_config(config: PointConfiguration) -> list[SystemType]:
     common subspace of linear dimension at most s.
     """
     most = [0] * config.ambient_rank
-    for _ in _recorded(_flats(config), most):
-        pass
-    return _subsystem_types(most)
-
-
-def _recorded(flats: Iterable[_Flat], most: list[int]) -> Iterator[_Flat]:
-    """Pass the (dim, members) flats on, keeping the largest member count per dim in most."""
-    for dim, members in flats:
+    # a flat below one of dimension dim has dimension dim + 1 or more and at
+    # most reach members, so it can raise a prefix maximum max(most[:s + 1])
+    # only if reach exceeds max(most[:dim + 2]); most[s] itself may stay low
+    for dim, members in _flats(config, lambda dim, reach: reach > max(most[: dim + 2])):
         most[dim] = max(most[dim], len(members))
-        yield dim, members
+    return _subsystem_types(most)
 
 
 def _subsystem_types(most: list[int]) -> list[SystemType]:
@@ -158,14 +152,15 @@ def equivalence_check(config: PointConfiguration, g: ScalarLike) -> EquivalenceR
 
     Uses alpha = g*(r-1) + 1, strictly above every wall the span-derived
     types can produce, so the comparison is wall-free. Both routes read
-    one stream of the point-spanned subspaces: the worst flat is picked
-    while the largest member count per dimension is recorded.
+    one search of the point-spanned subspaces: the worst flat is picked
+    while the largest member count per dimension is recorded, exact in
+    every prefix maximum the subsystem types read.
     """
     weight = _check_size(config, g)
     r = config.ambient_rank
     alpha = Fraction(stabilization_threshold(r, int(weight)) + 1)
     most = [0] * r
-    git = _verdict(_best_point_spanned(_recorded(_flats(config), most), weight), weight)
+    git = _verdict(_worst_flat(config, weight, most), weight)
     semistable, stable = _alpha_verdicts(_subsystem_types(most), weight, alpha)
     return EquivalenceReport(
         git=git,

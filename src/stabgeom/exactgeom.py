@@ -11,7 +11,9 @@ reduced row echelon form, the echelon basis, the kernel and the inverse
 are views of the primitive integer echelon basis it builds. ``rank`` is
 Bareiss. The flats are enumerated by reverse search
 (``_flats``): each is generated once, from the flat its lex-first basis
-spans without its last point, so no table of the flats is kept.
+spans without its last point, so no table of the flats is kept. A
+caller's ``descend`` test may cut the search below a flat, given a bound
+on the size of every flat there (branch and bound).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import FrameDegenerateError, SchemaError
 
@@ -133,7 +135,7 @@ class PointConfiguration:
     points: tuple[ProjectivePoint, ...]
 
     def __init__(self, ambient_rank: int, points: Iterable[ProjectivePoint]):
-        pts = tuple(points)
+        pts = tuple(_entries(points, "the points"))
         _check_int(ambient_rank, "ambient rank", 1)
         if not pts:
             raise ValueError("a configuration needs at least one point")
@@ -148,10 +150,11 @@ class PointConfiguration:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[ScalarLike]]) -> "PointConfiguration":
-        if not rows:
+    def from_rows(cls, rows: Iterable[Iterable[ScalarLike]]) -> "PointConfiguration":
+        points = [ProjectivePoint(row) for row in _entries(rows, "the rows")]
+        if not points:
             raise ValueError("no rows given")
-        return cls(len(rows[0]), [ProjectivePoint(row) for row in rows])
+        return cls(len(points[0]), points)
 
     @classmethod
     def from_json_dict(cls, data: object) -> "PointConfiguration":
@@ -195,11 +198,19 @@ class PointConfiguration:
         )
 
 
-def _entries(row: Iterable[ScalarLike]) -> list:
-    """The row as a fresh list; a str or bytes is refused, not read character by character."""
-    if isinstance(row, (str, bytes)):
-        raise SchemaError(f"a coordinate vector cannot be a string: {row!r}")
-    return list(row)
+def _entries(items: Iterable, what: str = "a coordinate vector") -> list:
+    """The items as a fresh list.
+
+    A non-iterable raises SchemaError, and so does a str or bytes, which
+    would otherwise be read character by character.
+    """
+    if isinstance(items, (str, bytes)):
+        raise SchemaError(f"{what} cannot be a string: {items!r}")
+    try:
+        values = iter(items)
+    except TypeError:
+        raise SchemaError(f"{what} must be iterable: {items!r}") from None
+    return list(values)
 
 
 def _clear_row_to_ints(row: Iterable[ScalarLike]) -> list[int]:
@@ -419,7 +430,9 @@ class ProjectiveTransform:
 _Flat = tuple[int, tuple[int, ...]]
 
 
-def _flats(config: PointConfiguration) -> Iterator[_Flat]:
+def _flats(
+    config: PointConfiguration, descend: Callable[[int, int], bool] | None = None
+) -> Iterator[_Flat]:
     """Yield (dim, members) once for every proper point-spanned subspace.
 
     Reverse search (Avis and Fukuda, 1996), depth first, with repeated
@@ -433,6 +446,17 @@ def _flats(config: PointConfiguration) -> Iterator[_Flat]:
     other child generates each flat once with no table of the flats seen;
     the stack holds fewer than n pending flats per rank. ``members`` is
     ascending. Ambient rank 1 yields nothing.
+
+    Branch and bound: each child C = F + u below the hyperplanes is
+    yielded, then ``descend(dim C, reach)`` is asked whether to build C's
+    images and search below it; with ``descend=None`` every flat is
+    searched. ``reach`` is |C| plus the points of F's classes whose least
+    member comes after min(u), and every flat G below C has
+    dim G >= dim C + 1 and |G| <= reach. Proof: G's lex-first basis
+    extends C's, whose last point is min(u), so a point of G before
+    min(u) lies in the span of F's basis points before it, that is in F.
+    A point w of G outside C lies in a class K != u of V/F, and G
+    contains span(F, w), hence all of K, so min(K) > min(u).
     """
     r = config.ambient_rank
     # canonical coordinates make equal rows the same point
@@ -448,13 +472,19 @@ def _flats(config: PointConfiguration) -> Iterator[_Flat]:
         classes: dict[tuple[int, ...], list[int]] = {}
         for d, image in images.items():
             classes.setdefault(image, []).append(d)
-        # image dicts keep index order, so each class is ascending
+        # image dicts keep index order, so each class is ascending and the
+        # classes come in ascending order of their least member
+        bounded = descend is not None and dim < r - 1
+        if bounded:
+            later = sum(len(groups[d]) for d in images)
         for u, new in classes.items():
+            if bounded:
+                later -= sum(len(groups[d]) for d in new)
             if new[0] < last:
                 continue
             flat = tuple(sorted((*members, *(i for d in new for i in groups[d]))))
             yield dim, flat
-            if dim == r - 1:
+            if dim == r - 1 or bounded and not descend(dim, len(flat) + later):
                 continue
             # images in V/(F + u): clear u's pivot column, then drop it
             q = _pivot(u)

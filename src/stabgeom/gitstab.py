@@ -6,7 +6,8 @@ dimension s satisfies s >= k/g, and stable when the inequality is strict.
 Only proper subspaces matter: the quantity k - g*s is the violation
 margin, positive exactly for destabilizing subsets.
 
-``classify`` prunes to subspaces spanned by the points themselves;
+``classify`` prunes to subspaces spanned by the points themselves and
+searches them by branch and bound (``_worst_flat``);
 ``oracle_classify`` enumerates every subset literally. The two must agree
 and are kept as independent code paths on purpose.
 """
@@ -14,11 +15,11 @@ and are kept as independent code paths on purpose.
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
 
 from .errors import SubsetTooLargeError
 from .exactgeom import (
@@ -97,14 +98,39 @@ def _verdict(best: _Flat | None, g: Fraction) -> StabilityVerdict:
     return StabilityVerdict(cls, witness, margin)
 
 
-def _best_point_spanned(flats: Iterable[_Flat], g: Fraction) -> _Flat | None:
-    """The worst flat: largest margin k - g*s, then smallest, then lex; q*k - p*s for g = p/q."""
+def _worst_flat(
+    config: PointConfiguration, g: Fraction, most: list[int] | None = None
+) -> _Flat | None:
+    """The worst flat: largest margin k - g*s, then smallest, then lex.
+
+    Ranked by the key (p*s - q*k, k, members) for g = p/q, smallest first.
+    Branch and bound: a flat below C has dimension at least dim C + 1 and
+    at most ``reach`` members, so its key's first entry is at least
+    p*(dim C + 1) - q*reach, and the search descends below C only while
+    that bound does not exceed the best first entry so far (a tie may still
+    win on size or lex order). Given ``most``, it records the largest
+    member count per dimension, exact in every prefix maximum
+    max(most[:s + 1]): it also descends while reach exceeds
+    max(most[:dim C + 2]), the smallest prefix maximum a flat below C can
+    raise.
+    """
     p, q = g.numerator, g.denominator
-    return min(
-        flats,
-        key=lambda flat: (p * flat[0] - q * len(flat[1]), len(flat[1]), flat[1]),
-        default=None,
-    )
+    bound = math.inf  # the best key's first entry so far
+    best = None
+
+    def descend(dim: int, reach: int) -> bool:
+        return p * (dim + 1) - q * reach <= bound or (
+            most is not None and reach > max(most[: dim + 2])
+        )
+
+    for dim, members in _flats(config, descend):
+        k = len(members)
+        if most is not None:
+            most[dim] = max(most[dim], k)
+        key = (p * dim - q * k, k, members)
+        if best is None or key < best[0]:
+            best, bound = (key, (dim, members)), key[0]
+    return None if best is None else best[1]
 
 
 def classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:
@@ -115,13 +141,13 @@ def classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdict:
     index order. The verdict carries that margin.
     """
     weight = _positive(g, "weight g")
-    return _verdict(_best_point_spanned(_flats(config), weight), weight)
+    return _verdict(_worst_flat(config, weight), weight)
 
 
 def worst_subspace(config: PointConfiguration, g: ScalarLike) -> tuple[_Flat, Fraction]:
     """The (dim, members) flat W maximizing (#points in W) - g*dim(W), with that margin."""
     weight = _positive(g, "weight g")
-    best = _best_point_spanned(_flats(config), weight)
+    best = _worst_flat(config, weight)
     if best is None:
         raise ValueError("no proper point-spanned subspace exists (ambient rank 1)")
     dim, members = best

@@ -178,13 +178,14 @@ def config_of(*rows) -> PointConfiguration:
 
 
 @st.composite
-def degenerate_configurations(draw):
-    """Up to 9 points of P^(r-1), r <= 5, with forced repeats and collinear points.
+def degenerate_configurations(draw, min_rank=1, max_rank=5, max_points=9):
+    """Up to max_points points of P^(r-1), min_rank <= r <= max_rank, with
+    forced repeats and collinear points.
 
     Points forced collinear are integer combinations of two earlier points.
     """
-    r = draw(st.integers(min_value=1, max_value=5))
-    n = draw(st.integers(min_value=1, max_value=9))
+    r = draw(st.integers(min_value=min_rank, max_value=max_rank))
+    n = draw(st.integers(min_value=1, max_value=max_points))
     small = st.integers(min_value=-3, max_value=3)
     rows = []
     for _ in range(n):

@@ -108,9 +108,9 @@ class TestSingleEnumeration:
         calls = []
         original = stabgeom.gitstab._flats
 
-        def counted(config):
+        def counted(config, *rest):
             calls.append(config)
-            return original(config)
+            return original(config, *rest)
 
         monkeypatch.setattr(stabgeom.gitstab, "_flats", counted)
         monkeypatch.setattr(stabgeom.cohsys, "_flats", counted)

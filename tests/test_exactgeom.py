@@ -229,6 +229,19 @@ class TestConfigurationSchema:
         with pytest.raises(SchemaError):
             PointConfiguration.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ProjectivePoint(5),
+            lambda: PointConfiguration(2, 5),
+            lambda: PointConfiguration.from_rows(5),
+        ],
+        ids=["point", "points", "rows"],
+    )
+    def test_a_non_iterable_is_a_schema_error(self, build):
+        with pytest.raises(SchemaError, match="must be iterable: 5$"):
+            build()
+
     def test_wrong_coordinate_length_rejected(self):
         with pytest.raises(ValueError):
             PointConfiguration(3, [ProjectivePoint([1, 0])])

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,10 @@ from stabgeom import (
     oracle_classify,
     worst_subspace,
 )
-from stabgeom.exactgeom import point_spanned_subspaces
+import stabgeom.cohsys
+import stabgeom.gitstab
+from stabgeom.cohsys import equivalence_check, subsystem_types_from_config
+from stabgeom.exactgeom import _flats, point_spanned_subspaces
 from stabgeom.randconf import random_configuration, random_transform
 
 from helpers import (
@@ -214,6 +218,78 @@ class TestOracleAgreement:
         verdict = oracle_classify(config, 2)
         assert verdict.classification is StabilityClass.UNSTABLE
         assert len(ranked) == 2 ** len(config) - 1
+
+
+def searched(config, g):
+    """Every value the flat search serves: classify, worst_subspace, the
+    subsystem types and, when r divides n, equivalence_check at g = n/r."""
+    r, n = config.ambient_rank, len(config)
+    values = [classify(config, g), subsystem_types_from_config(config)]
+    if r > 1:
+        values.append(worst_subspace(config, g))
+    if n % r == 0:
+        values.append(equivalence_check(config, n // r))
+    return values
+
+
+class TestBranchAndBound:
+    """The pruned flat search gives exactly what the whole stream of _flats gives."""
+
+    WEIGHTS = (1, 2, 3, Fraction(3, 2), Fraction(5, 2))
+    # the hyperplanes {0, 3, 4, 5} and {1, 2, 3, 5} tie in margin and size:
+    # {1, 2, 3, 5} is found first, and {0, 3, 4, 5} lies below a flat whose
+    # bound equals the best key, so a strict bound would keep the wrong one
+    LEX_TIE = config_of(
+        (1, -1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 0), (1, 1, -1, 0), (1, 0, 1, 1), (1, 0, -1, 0)
+    )
+
+    @pytest.fixture
+    def search(self, monkeypatch):
+        """Pass gitstab's and cohsys's descend to _flats only while prune is set;
+        count the subtrees it cuts."""
+        state = SimpleNamespace(prune=True, cut=0)
+
+        def switched(config, descend=None):
+            def counted(dim, reach):
+                go = descend(dim, reach)
+                state.cut += not go
+                return go
+
+            return _flats(config, counted if state.prune and descend else None)
+
+        monkeypatch.setattr(stabgeom.gitstab, "_flats", switched)
+        monkeypatch.setattr(stabgeom.cohsys, "_flats", switched)
+        return state
+
+    def test_pruned_values_equal_the_unpruned_stream(self, search):
+        @settings(max_examples=150, deadline=None)
+        @given(
+            degenerate_configurations(max_rank=6, max_points=12),
+            st.sampled_from(self.WEIGHTS),
+        )
+        @example(self.LEX_TIE, 1)
+        def check(config, g):
+            search.prune = True
+            pruned = searched(config, g)
+            search.prune = False
+            assert pruned == searched(config, g)
+
+        check()
+        # the bound cut some subtree, so the comparison was not vacuous
+        assert search.cut
+
+    def test_pruned_classify_equals_the_oracle_at_ranks_four_and_five(self, search):
+        @settings(max_examples=60, deadline=None)
+        @given(
+            degenerate_configurations(min_rank=4, max_rank=5, max_points=10),
+            st.sampled_from(self.WEIGHTS),
+        )
+        @example(self.LEX_TIE, 1)
+        def check(config, g):
+            assert classify(config, g) == oracle_classify(config, g)
+
+        check()
+        assert search.cut
 
 
 class TestOracleCap:
