@@ -18,6 +18,7 @@ from .exactgeom import (
     ProjectivePoint,
     ScalarLike,
     _check_int,
+    _entries,
     _flats,
     _positive,
     format_scalar,
@@ -152,9 +153,22 @@ def equivalence_check(config: PointConfiguration, g: ScalarLike) -> EquivalenceR
 
     Uses alpha = g*(r-1) + 1, strictly above every wall the span-derived
     types can produce, so the comparison is wall-free. Both routes read
-    one search of the point-spanned subspaces: the worst flat is picked
-    while the largest member count per dimension is recorded, exact in
-    every prefix maximum the subsystem types read.
+    one search of the point-spanned subspaces, pruned by the margin bound
+    alone: the worst flat is picked while ``most[s]`` records the largest
+    member count met in dimension s. The recorded types may fall short of
+    ``subsystem_types_from_config``, but the alpha verdicts do not:
+
+    - A type (s, d, s) has slope d/s + alpha and the full type g + alpha,
+      so semistable means d_s <= g*s for every s and stable d_s < g*s,
+      where d_s = max(most[:s + 1]).
+    - A recorded count never exceeds the exact d_max(s), so an exact
+      verdict that is true stays true.
+    - If some exact d_max(s) > g*s, a flat F of dimension at most s has
+      |F| - g*dim F > 0, so the worst margin is positive. The bound skips
+      only subtrees whose every key is worse than one already met, so the
+      worst flat W is always met, and d_(dim W) >= |W| > g*dim W: the
+      recorded verdict is false as well.
+    - Stability is the same argument with >= 0 in place of > 0.
     """
     weight = _check_size(config, g)
     r = config.ambient_rank
@@ -190,7 +204,7 @@ def destabilizing_example_config(
     if lambdas is None:
         values = [Fraction(i) for i in range(1, genus + 2)]
     else:
-        values = [parse_scalar(l) for l in lambdas]
+        values = [parse_scalar(l) for l in _entries(lambdas, "the lambdas")]
     if len(values) != genus + 1:
         raise ValueError(f"need exactly {genus + 1} lambda values")
     if any(v == 0 for v in values):

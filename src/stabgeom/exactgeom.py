@@ -141,7 +141,7 @@ class PointConfiguration:
             raise ValueError("a configuration needs at least one point")
         for p in pts:
             if not isinstance(p, ProjectivePoint):
-                raise TypeError("points must be ProjectivePoint instances")
+                raise SchemaError("points must be ProjectivePoint instances")
             if len(p) != ambient_rank:
                 raise ValueError(
                     f"point has {len(p)} coordinates, ambient rank is {ambient_rank}"
@@ -231,7 +231,7 @@ def _int_rows(matrix: Iterable[Iterable[ScalarLike]]) -> list[list[int]]:
     """The rows as fresh integer lists, each scaled by its own denominators."""
     m: list[list[int]] = []
     width = None
-    for row in matrix:
+    for row in _entries(matrix, "the rows"):
         r = _clear_row_to_ints(row)
         if width is None:
             width = len(r)
@@ -409,7 +409,7 @@ class ProjectiveTransform:
     matrix: tuple[tuple[int, ...], ...]
 
     def __init__(self, matrix: Sequence[Sequence[ScalarLike]]):
-        rows = [_entries(row) for row in matrix]
+        rows = [_entries(row) for row in _entries(matrix, "the rows")]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("transform matrix must be square")

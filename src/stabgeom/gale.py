@@ -20,6 +20,7 @@ from .exactgeom import (
     PointConfiguration,
     ProjectivePoint,
     _clear_row_to_ints,
+    _entries,
     _primitive,
     format_scalar,
     kernel_basis,
@@ -49,13 +50,13 @@ class GaleData:
         diag: tuple[Fraction, ...],
     ):
         gamma = len(source)
-        if len(target) != gamma or len(diag) != gamma:
+        d = tuple(parse_scalar(x) for x in _entries(diag, "diag"))
+        if len(target) != gamma or len(d) != gamma:
             raise ValueError("source, target and diag must have equal length")
         if source.ambient_rank + target.ambient_rank != gamma:
             raise ValueError(
                 "gamma must equal r + s + 2 for projective dimensions r, s"
             )
-        d = tuple(parse_scalar(x) for x in diag)
         if any(x == 0 for x in d):
             raise ValueError("diag entries must be nonzero")
         # D times the lcm of its denominators is integral with the same zero product
@@ -159,7 +160,7 @@ def on_smooth_conic(config: PointConfiguration) -> bool:
 
 def conic_parameter_points(params: list) -> PointConfiguration:
     """Points [t : t^2 : 1] on the smooth conic y*z = x^2, one per parameter."""
-    values = [parse_scalar(t) for t in params]
+    values = [parse_scalar(t) for t in _entries(params, "the parameters")]
     if len(set(values)) != len(values):
         raise ValueError("parameters must be pairwise distinct")
     return PointConfiguration(3, [ProjectivePoint([t, t * t, 1]) for t in values])

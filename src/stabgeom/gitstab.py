@@ -108,20 +108,17 @@ def _worst_flat(
     at most ``reach`` members, so its key's first entry is at least
     p*(dim C + 1) - q*reach, and the search descends below C only while
     that bound does not exceed the best first entry so far (a tie may still
-    win on size or lex order). Given ``most``, it records the largest
-    member count per dimension, exact in every prefix maximum
-    max(most[:s + 1]): it also descends while reach exceeds
-    max(most[:dim C + 2]), the smallest prefix maximum a flat below C can
-    raise.
+    win on size or lex order). Given ``most``, it records in ``most[s]``
+    the largest member count among the flats of dimension s that the
+    search meets; a pruned subtree may hold a larger one (see
+    ``cohsys.equivalence_check`` for why its verdicts stay exact).
     """
     p, q = g.numerator, g.denominator
     bound = math.inf  # the best key's first entry so far
     best = None
 
     def descend(dim: int, reach: int) -> bool:
-        return p * (dim + 1) - q * reach <= bound or (
-            most is not None and reach > max(most[: dim + 2])
-        )
+        return p * (dim + 1) - q * reach <= bound
 
     for dim, members in _flats(config, descend):
         k = len(members)

@@ -33,8 +33,15 @@ from itertools import combinations
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .errors import SingularPointError
-from .exactgeom import ScalarLike, _canonical_int_vector, _check_int, parse_scalar, rank
+from .errors import SchemaError, SingularPointError
+from .exactgeom import (
+    ScalarLike,
+    _canonical_int_vector,
+    _check_int,
+    _entries,
+    parse_scalar,
+    rank,
+)
 
 NVARS = 6
 
@@ -201,6 +208,9 @@ class SymmetricHypersurfaceModel:
     terms: tuple[tuple[Partition, int], ...]
 
     def __init__(self, name: str, degree: int, terms: Mapping[Partition, int]):
+        _check_int(degree, "degree", 1)
+        if not isinstance(terms, Mapping):
+            raise SchemaError(f"terms must be a mapping, not {terms!r}")
         merged: dict[Partition, int] = {}
         for parts, coeff in terms.items():
             if (
@@ -234,10 +244,10 @@ class SymmetricHypersurfaceModel:
         """Columns cols[j][i] = x_i^j for j = 0 .. degree, and the power sums p_0 .. p_degree."""
         if isinstance(point, AmbientPoint):
             coords = point.coords
-        elif len(point) != NVARS:
-            raise ValueError(f"need {NVARS} coordinates")
         else:
-            coords = [c if type(c) is int else parse_scalar(c) for c in point]
+            coords = [c if type(c) is int else parse_scalar(c) for c in _entries(point)]
+            if len(coords) != NVARS:
+                raise ValueError(f"need {NVARS} coordinates")
         cols = [[1] * NVARS, list(coords)]
         for _ in range(self.degree - 1):
             cols.append(list(map(mul, cols[-1], coords)))

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stabgeom import (
     SchemaError,
@@ -21,8 +21,16 @@ from stabgeom import (
     subsystem_violates,
 )
 from stabgeom.cli import main
+from stabgeom.cohsys import _alpha_verdicts, _subsystem_types
+from stabgeom.gitstab import _worst_flat
 
-from helpers import config_of, scan_walls, standard_six_config, triple_point_config
+from helpers import (
+    config_of,
+    degenerate_configurations,
+    scan_walls,
+    standard_six_config,
+    triple_point_config,
+)
 
 
 class TestSystemType:
@@ -178,6 +186,37 @@ class TestEquivalence:
     def test_size_mismatch_rejected(self):
         with pytest.raises(SizeMismatchError):
             equivalence_check(config_of((1, 0), (0, 1), (1, 1)), 2)
+
+    # five coincident points and one more in the plane, g = 2: the point of
+    # margin 3 prunes the line of all six (margin 2), so the recorded d_max(2)
+    # is 5 where alpha-check's search finds 6
+    FIVE_ON_A_POINT = config_of(*[(1, 0, 0)] * 5, (0, 0, 1))
+
+    def test_alpha_verdicts_equal_the_exact_type_verdicts(self):
+        differs = 0
+
+        @settings(max_examples=200, deadline=None)
+        @given(degenerate_configurations(max_rank=6, max_points=12))
+        @example(self.FIVE_ON_A_POINT)
+        def check(config):
+            nonlocal differs
+            r, n = config.ambient_rank, len(config)
+            if n % r:
+                return
+            g = n // r
+            report = equivalence_check(config, g)
+            exact = subsystem_types_from_config(config)
+            assert (report.alpha_semistable, report.alpha_stable) == _alpha_verdicts(
+                exact, Fraction(g), Fraction(g * (r - 1) + 1)
+            )
+            most = [0] * r
+            _worst_flat(config, Fraction(g), most)
+            differs += _subsystem_types(most) != exact
+
+        check()
+        # the margin search recorded types that alpha-check's search corrects,
+        # so the verdicts were compared across two differently pruned searches
+        assert differs
 
 
 class TestRationalArguments:

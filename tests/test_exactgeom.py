@@ -251,7 +251,7 @@ class TestConfigurationSchema:
         [
             (lambda: ProjectivePoint([]), ValueError, "^empty coordinate vector$"),
             (lambda: PointConfiguration(2, []), ValueError, "at least one point"),
-            (lambda: PointConfiguration(2, [(1, 0)]), TypeError, "ProjectivePoint instances"),
+            (lambda: PointConfiguration(2, [(1, 0)]), SchemaError, "ProjectivePoint instances"),
             (lambda: PointConfiguration.from_rows([]), ValueError, "^no rows given$"),
         ],
         ids=["empty-vector", "no-points", "not-a-point", "no-rows"],
