@@ -31,7 +31,7 @@ from .errors import FrameDegenerateError, SchemaError
 
 ScalarLike = Union[int, str, Fraction]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def parse_scalar(value: ScalarLike) -> Fraction:

@@ -21,7 +21,6 @@ from .exactgeom import (
     ProjectivePoint,
     _clear_row_to_ints,
     _entries,
-    _primitive,
     format_scalar,
     kernel_basis,
     parse_scalar,
@@ -116,10 +115,10 @@ def gale_transform(config: PointConfiguration) -> GaleData:
     points = []
     diag = []
     for row in gp_rows:
-        prim = _primitive(row)
-        points.append(ProjectivePoint(prim))
+        point = ProjectivePoint(row)
+        points.append(point)
         # raw row = D_i * canonical row, so D_i restores G^T D G' = 0
-        diag.append(Fraction(next(v // p for v, p in zip(row, prim) if p)))
+        diag.append(Fraction(next(v // p for v, p in zip(row, point.coords) if p)))
     target = PointConfiguration(gamma - big_r, points)
     return GaleData(source=config, target=target, diag=tuple(diag))
 

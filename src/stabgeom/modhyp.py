@@ -78,9 +78,6 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
@@ -519,8 +516,9 @@ def _sign_paired(coords: Sequence[ScalarLike]) -> bool:
     even number of times, that is when the sorted absolute values pair up
     consecutively. Lines through a node invariant under a coordinate
     transposition force their residual point onto such a locus (the 15
-    planes of the cubic among them); small integer directions hit this
-    often, so the sampler treats it as a degenerate draw.
+    planes of the cubic among them). The sampler rejects them: the cubic's
+    gradient 3*x_i^2 is then constant on each pair, so the polar image lies
+    on that matching's line, where the quartic is singular.
     """
     mags = sorted(map(abs, coords))
     return mags[0::2] == mags[1::2]
@@ -532,12 +530,11 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
     A line through a node nu in direction w (sum w = 0) meets the cubic in
     lambda^2 * (a2 + a3*lambda) = 0, so the residual point nu - (a2/a3)*w
     is rational; it is taken as the integer multiple a3*nu - a2*w. Draws
-    with a3 = 0, a2 = 0, a sign-paired residual or a singular residual are
-    skipped, in that order, and retried a bounded number of times. Each
-    residual's power table is built once and serves both the on-cubic
-    check and the gradient; the cheap sign-pairing test runs before the
-    gradient, and since both tests only reject, their order does not
-    change which points are drawn.
+    with a3 = 0, a2 = 0 or a sign-paired residual are skipped and retried
+    a bounded number of times. No residual R is singular: lambda* = -a2/a3
+    is a simple root, so the derivative there, a3*lambda*^2, is nonzero; it
+    is a multiple of grad p3(R) . w, and at a singular point grad p3 is a
+    multiple of (1, ..., 1), whose product with w is a multiple of sum w = 0.
     """
     _check_int(count, "count", 0)
     _check_int(seed, "seed", -math.inf)
@@ -554,10 +551,9 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
             if a3 == 0 or a2 == 0:
                 continue
             point = AmbientPoint([a3 * n - a2 * wi for n, wi in zip(nu, w)])
-            cols, p = model._powers(point)
-            if _at(model.terms, p) != 0:
+            if model.evaluate(point) != 0:
                 raise RuntimeError("residual intersection left the cubic")
-            if _sign_paired(point.coords) or _along_normal(model._gradient(cols, p)):
+            if _sign_paired(point.coords):
                 continue
             out.append(point)
             break
@@ -603,7 +599,10 @@ def duality_check(samples: int, seed: int = 0) -> DualityReport:
     Forward: the polar image of each sampled cubic point satisfies the
     quartic. Reverse: the polar image of each such quartic point (when
     nonsingular there) satisfies the cubic. Failures are reported, not
-    raised. A sample costs three power passes: x on the cubic, y on the
+    raised. A reverse image is skipped only for a wrong quartic: the
+    quartic is singular exactly along its 15 lines, which hold the polar
+    images of exactly the sign-paired points, and the sampler rejects
+    those. A sample costs three power passes: x on the cubic, y on the
     quartic (value, singularity test and reverse image) and z on the cubic.
     """
     _check_int(samples, "samples", 0)

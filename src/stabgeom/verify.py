@@ -49,6 +49,7 @@ from .randconf import (
     random_conic_parameters,
     random_frame_configuration,
     random_transform,
+    random_vector,
 )
 
 __all__ = [
@@ -309,18 +310,12 @@ def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> tuple[list[
     splits = three_three_splits()
     if len(splits) != 10 or {n.split for n in nodes} != set(splits):
         failures.append("split labels are not a bijection onto the 10 partitions")
-    if search_points > 0:
-        rng = random.Random(seed * _SEED_STRIDE + 44)
-        tried = 0
-        while tried < search_points:
-            v = [rng.randint(-30, 30) for _ in range(NVARS - 1)]
-            v.append(-sum(v))
-            if not any(v):
-                continue  # never run: all five draws zero, odds 61**-5 per point
-            tried += 1
-            p = AmbientPoint(v)
-            if verify_singular_point(model, p) and p.coords not in coords_set:
-                failures.append(f"stray singular point {p.coords}")
+    rng = random.Random(seed * _SEED_STRIDE + 44)
+    for _ in range(search_points):
+        v = random_vector(rng, NVARS - 1, 30)
+        p = AmbientPoint(v + [-sum(v)])
+        if verify_singular_point(model, p) and p.coords not in coords_set:
+            failures.append(f"stray singular point {p.coords}")
     # a stray is a failure, so a passing search found no extra singular point
     search = (
         f"{search_points} random hyperplane points, 0 extra singular"

@@ -837,6 +837,14 @@ class TestErrorPaths:
         assert code == 2
         assert payload(err)["error"]["type"] == "SchemaError"
 
+    def test_non_ascii_digit_weight(self, cli, config_file):
+        # an Arabic-Indic two is a digit to Unicode but not a rational literal
+        path = config_file(TRIPLE_ROWS)
+        code, out, err = cli(["git-classify", "--g", "\u0662", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert payload(err)["error"]["type"] == "SchemaError"
+
     def test_unknown_flag_and_command_exit_two(self, cli):
         for argv in (["critical-values", "-r", "2", "-d", "4", "-k", "2", "--bogus"], ["no-such-command"]):
             code, out, err = cli(argv)

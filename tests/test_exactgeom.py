@@ -110,7 +110,10 @@ class TestScalars:
         assert parse_scalar("-5/3") == Fraction(-5, 3)
         assert parse_scalar(" 12 ") == 12
 
-    @pytest.mark.parametrize("bad", ["", "1.5", "2/0", "1/-3", "a", "1e3", None, 2.5, True])
+    # the last three are Arabic-Indic and fullwidth digits: Unicode digits, not ASCII
+    @pytest.mark.parametrize(
+        "bad", ["", "1.5", "2/0", "1/-3", "a", "1e3", None, 2.5, True, "\u0662", "\uff11\uff12", "\u0661/2"]
+    )
     def test_parse_rejects_non_rationals(self, bad):
         with pytest.raises(SchemaError):
             parse_scalar(bad)
@@ -139,6 +142,10 @@ class TestProjectivePoint:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             ProjectivePoint([0, 0, 0])
+
+    def test_non_ascii_digit_coordinates_rejected(self):
+        with pytest.raises(SchemaError):
+            ProjectivePoint(["\u0661", "\u0662"])
 
     def test_bool_coordinates_rejected(self):
         with pytest.raises(SchemaError):

@@ -1,10 +1,11 @@
 """The symmetric cubic and quartic: singular loci, incidence, duality."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stabgeom import (
     AmbientPoint,
@@ -66,6 +67,16 @@ class TestPolynomial:
             Polynomial({(1, 0, 0): 1})
         with pytest.raises(ValueError):
             Polynomial({(1, 0, 0, 0, 0, -1): 1})
+
+    def test_evaluate_needs_six_coordinates(self):
+        with pytest.raises(ValueError, match="^need 6 coordinates$"):
+            Polynomial.power_sum(3).evaluate([1, -1, 0])
+
+    def test_repr_shows_the_terms(self):
+        # a failing comparison against the expanded reference prints this
+        assert repr(Polynomial({(0, 0, 0, 0, 0, 2): 3})) == (
+            "Polynomial({(0, 0, 0, 0, 0, 2): Fraction(3, 1)})"
+        )
 
 
 class TestModels:
@@ -397,6 +408,21 @@ class TestPolarDuality:
         assert verify_singular_point(igusa, y)
         assert MatchingLine(((0, 1), (2, 3), (4, 5))).contains(y)
 
+    def test_a_quartic_with_normal_gradients_skips_every_reverse_image(self, monkeypatch):
+        # the real quartic's terms, so every forward image is on it, but a
+        # gradient along (1, ..., 1) everywhere, as on a singular line
+        class NormalGradient(SymmetricHypersurfaceModel):
+            def _gradient(self, cols, p):
+                return (1,) * NVARS
+
+        wrong = NormalGradient("igusa", 4, {(2, 2): 1, (4,): -4})
+        monkeypatch.setattr("stabgeom.modhyp.igusa_quartic", lambda: wrong)
+        report = duality_check(6, seed=2)
+        assert report.samples == report.forward_ok == report.reverse_skipped == 6
+        assert report.reverse_ok == 0
+        assert report.counterexamples == ()
+        assert not report.passed
+
     def test_duality_report(self):
         report = duality_check(25, seed=11)
         assert report.passed
@@ -462,6 +488,47 @@ class TestSampling:
         monkeypatch.setattr(f"stabgeom.modhyp.{name}", fake)
         with pytest.raises(RuntimeError, match=message):
             sample_segre_points(1)
+
+
+def _raw_residual(node, w):
+    """The sampler's residual a3*nu - a2*w before any filter, or None when a2*a3 = 0."""
+    a2 = 3 * sum(n * wi * wi for n, wi in zip(node, w))
+    a3 = sum(wi**3 for wi in w)
+    if a2 * a3 == 0:
+        return None
+    return AmbientPoint([a3 * n - a2 * wi for n, wi in zip(node, w)])
+
+
+class TestRawResiduals:
+    """A raw residual is never singular, and its polar image is singular exactly when it is sign-paired."""
+
+    @given(
+        st.sampled_from([n.point.coords for n in segre_nodes()]),
+        st.lists(st.integers(-40, 40), min_size=NVARS - 1, max_size=NVARS - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_residual_is_on_the_cubic_and_never_singular(self, node, head):
+        x = _raw_residual(node, head + [-sum(head)])
+        assume(x is not None)
+        segre = segre_cubic()
+        assert segre.evaluate(x) == 0
+        assert not verify_singular_point(segre, x)
+
+    def test_sign_paired_iff_the_polar_image_is_singular_on_the_quartic(self):
+        segre = segre_cubic()
+        igusa = igusa_quartic()
+        nodes = [n.point.coords for n in segre_nodes()]
+        rng = random.Random(19)
+        classes = {True: 0, False: 0}
+        for _ in range(300):
+            w = [rng.randint(-9, 9) for _ in range(NVARS - 1)]
+            x = _raw_residual(rng.choice(nodes), w + [-sum(w)])
+            if x is None:
+                continue
+            paired = _sign_paired(x.coords)
+            assert verify_singular_point(igusa, polar_map(segre, x)) == paired, x.coords
+            classes[paired] += 1
+        assert classes[True] > 0 and classes[False] > 0, classes
 
 
 class TestSignPaired:
