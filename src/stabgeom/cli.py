@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .cohsys import (
@@ -33,14 +35,62 @@ from .verify import check_igusa, check_segre_nodes, run_all
 __all__ = ["main"]
 
 
+def _dumps(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a payload's values.
+
+    A payload holds dicts with str keys, lists, tuples, strings, ints,
+    bools and None. The stdlib indents only through its pure-Python
+    encoder, so this writer nests the containers itself and quotes strings
+    with the C function the stdlib uses for ``ensure_ascii``. A list of
+    ints, or of strings, is written in one join, any other list item by
+    item (``_quote`` raises TypeError on an item that is not a string).
+    ``pad`` is the newline and indent of the enclosing level.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (dict, list, tuple)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = pad + "  "
+        sep = "," + inner
+        if isinstance(value, dict):
+            body = sep.join([_quote(k) + ": " + _dumps(v, inner) for k, v in value.items()])
+            return "{" + inner + body + pad + "}"
+        if type(value[0]) is int and set(map(type, value)) == {int}:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            try:
+                # a list of strings, such as a row of coordinates, in one pass
+                body = sep.join(map(_quote, value))
+            except TypeError:
+                body = sep.join([_dumps(v, inner) for v in value])
+        return "[" + inner + body + pad + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return int.__repr__(value)
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload))
 
 
 def _fail(exc: BaseException) -> int:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    print(json.dumps(payload, indent=2), file=sys.stderr)
+    print(_dumps(payload), file=sys.stderr)
     return 2
+
+
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _int_arg(text: str) -> int:
+    """An integer option: ASCII digits after an optional sign, as ``parse_scalar`` reads them."""
+    stripped = text.strip()
+    if not _INT_RE.fullmatch(stripped):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(stripped)
 
 
 def _load_config(path: str) -> PointConfiguration:
@@ -196,11 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_git_classify)
 
     p = sub.add_parser("critical-values", help="walls for a system type")
-    p.add_argument("-r", type=int, required=True, help="rank")
-    p.add_argument("-d", type=int, required=True, help="degree")
-    p.add_argument("-k", type=int, required=True, help="section count")
-    p.add_argument("--degree-bound", type=int, default=None, help="override d' upper bound")
-    p.add_argument("--section-bound", type=int, default=None, help="override k' upper bound")
+    p.add_argument("-r", type=_int_arg, required=True, help="rank")
+    p.add_argument("-d", type=_int_arg, required=True, help="degree")
+    p.add_argument("-k", type=_int_arg, required=True, help="section count")
+    p.add_argument("--degree-bound", type=_int_arg, default=None, help="override d' upper bound")
+    p.add_argument("--section-bound", type=_int_arg, default=None, help="override k' upper bound")
     p.set_defaults(func=_cmd_critical_values)
 
     p = sub.add_parser("alpha-check", help="alpha-(semi)stability of a configuration")
@@ -218,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_equivalence)
 
     p = sub.add_parser("destable-example", help="emit the stable line configuration")
-    p.add_argument("--genus", type=int, required=True, help="weight g >= 2")
+    p.add_argument("--genus", type=_int_arg, required=True, help="weight g >= 2")
     p.add_argument(
         "--lambdas",
         default=None,
@@ -229,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gale", help="Gale transform and self-association test")
     p.add_argument("--input", required=True, help="configuration JSON file, or - for stdin")
     p.add_argument(
-        "--seed", type=int, default=0, help="accepted for compatibility; has no effect"
+        "--seed", type=_int_arg, default=0, help="accepted for compatibility; has no effect"
     )
     p.set_defaults(func=_cmd_gale)
 
@@ -239,19 +289,19 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("target", choices=("segre", "igusa", "duality"))
     pv.add_argument(
         "--samples",
-        type=int,
+        type=_int_arg,
         default=None,
         help="search points for segre (default 10000), sample count for duality (default 200)",
     )
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_int_arg, default=0)
     pv.set_defaults(func=_cmd_hypersurface_verify)
 
     p = sub.add_parser("incidence", help="the 15_3 point-line structure")
     p.set_defaults(func=_cmd_incidence)
 
     p = sub.add_parser("verify-all", help="run the full verification suite")
-    p.add_argument("--samples", type=int, default=200, help="0 skips the randomized checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_arg, default=200, help="0 skips the randomized checks")
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.set_defaults(func=_cmd_verify_all)
 
     return parser

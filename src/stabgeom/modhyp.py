@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SchemaError, SingularPointError
 from .exactgeom import (
@@ -536,11 +536,15 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
     is a multiple of grad p3(R) . w, and at a singular point grad p3 is a
     multiple of (1, ..., 1), whose product with w is a multiple of sum w = 0.
     """
+    return [point for point, _, _ in _segre_samples(count, seed)]
+
+
+def _segre_samples(count: int, seed: int) -> Iterator[tuple[AmbientPoint, list, list]]:
+    """Yield each sample of ``sample_segre_points`` with its power table on the cubic."""
     _check_int(count, "count", 0)
     _check_int(seed, "seed", -math.inf)
     model = segre_cubic()
     nodes = [n.point for n in segre_nodes()]
-    out = []
     for index in range(count):
         rng = random.Random(seed * 1_000_003 + index)
         for _ in range(200):
@@ -551,15 +555,15 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
             if a3 == 0 or a2 == 0:
                 continue
             point = AmbientPoint([a3 * n - a2 * wi for n, wi in zip(nu, w)])
-            if model.evaluate(point) != 0:
+            cols, p = model._powers(point)
+            if _at(model.terms, p) != 0:
                 raise RuntimeError("residual intersection left the cubic")
             if _sign_paired(point.coords):
                 continue
-            out.append(point)
+            yield point, cols, p
             break
         else:
             raise RuntimeError("sampling failed to find a usable direction")
-    return out
 
 
 @dataclass(frozen=True)
@@ -602,19 +606,19 @@ def duality_check(samples: int, seed: int = 0) -> DualityReport:
     raised. A reverse image is skipped only for a wrong quartic: the
     quartic is singular exactly along its 15 lines, which hold the polar
     images of exactly the sign-paired points, and the sampler rejects
-    those. A sample costs three power passes: x on the cubic, y on the
-    quartic (value, singularity test and reverse image) and z on the cubic.
+    those. A sample costs three power passes: x on the cubic (the
+    sampler's on-cubic test and the forward image), y on the quartic
+    (value, singularity test and reverse image) and z on the cubic.
     """
     _check_int(samples, "samples", 0)
     segre = segre_cubic()
     igusa = igusa_quartic()
-    points = sample_segre_points(samples, seed)
     forward_ok = 0
     reverse_ok = 0
     skipped = 0
     bad: list[tuple[str, tuple[int, ...]]] = []
-    for x in points:
-        y = polar_map(segre, x)
+    for x, cols, p in _segre_samples(samples, seed):
+        y = _polar_image(segre._gradient(cols, p))
         cols, p = igusa._powers(y)
         if _at(igusa.terms, p) == 0:
             forward_ok += 1
@@ -632,7 +636,7 @@ def duality_check(samples: int, seed: int = 0) -> DualityReport:
         else:
             bad.append(("reverse", y.coords))
     return DualityReport(
-        samples=len(points),
+        samples=samples,
         forward_ok=forward_ok,
         reverse_ok=reverse_ok,
         reverse_skipped=skipped,

@@ -672,6 +672,78 @@ class TestStabilityGoldenBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestStructureGoldenBytes:
+    """SHA-256 of `stab incidence` and `stab destable-example` stdout.
+
+    Integer lists nested three deep (incidence) and string coordinate
+    lists (the example) are both pinned.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                ["incidence"],
+                "b19f25bf1c1bb21caadf379a03fc61589f49d4e3caebc5723c2a897cf4accc98",
+                id="incidence",
+            ),
+            pytest.param(
+                ["destable-example", "--genus", "4"],
+                "ac6c09a191f76e806c689b908137df04e8bdf06015e77c846f61650ded801c61",
+                id="example-genus-4",
+            ),
+            pytest.param(
+                ["destable-example", "--genus", "4", "--lambdas", "1,-1,2,1/2,-3/2"],
+                "7ccac225452b5fee04c9cc9f4558ab4a7d4a382fef0e62753b471ab2d18bd172",
+                id="example-genus-4-lambdas",
+            ),
+        ],
+    )
+    def test_stdout_bytes(self, cli, argv, digest):
+        code, out, err = cli(argv)
+        assert code == 0
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestErrorGoldenBytes:
+    """The stderr bytes of a failure: typed JSON, ASCII-escaped, two-space indent."""
+
+    @pytest.mark.parametrize(
+        "argv, stdin, expected",
+        [
+            pytest.param(
+                ["git-classify", "--input", "-"],
+                None,
+                "{\n"
+                '  "error": {\n'
+                '    "type": "UsageError",\n'
+                '    "message": "the following arguments are required: --g"\n'
+                "  }\n"
+                "}\n",
+                id="usage-error",
+            ),
+            pytest.param(
+                # an Arabic-Indic two; the message repeats it, escaped as \u0662
+                ["git-classify", "--g", "\u0662", "--input", "-"],
+                json.dumps({"ambient_rank": 1, "points": [["1"]]}),
+                "{\n"
+                '  "error": {\n'
+                '    "type": "SchemaError",\n'
+                '    "message": "not a rational literal: \'\\u0662\'"\n'
+                "  }\n"
+                "}\n",
+                id="schema-error-non-ascii",
+            ),
+        ],
+    )
+    def test_stderr_bytes(self, cli, argv, stdin, expected):
+        code, out, err = cli(argv, stdin=stdin)
+        assert code == 2
+        assert out == ""
+        assert err == expected
+
+
 class TestHypersurface:
     def test_segre_without_search(self, cli):
         code, out, _ = cli(["hypersurface", "verify", "segre", "--samples", "0"])
@@ -867,6 +939,40 @@ class TestErrorPaths:
         error = payload(err)["error"]
         assert error["type"] == "UsageError"
         assert error["message"].startswith(message)
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            # Arabic-Indic digits are digits to int() but not ASCII literals
+            (
+                ["critical-values", "-r", "\u0662", "-d", "\u0664", "-k", "\u0662"],
+                "-r", "\u0662",
+            ),
+            (["critical-values", "-r", "1_0", "-d", "4", "-k", "2"], "-r", "1_0"),
+            (["critical-values", "-r", "2", "-d", "4", "-k", "\u0662"], "-k", "\u0662"),
+            (["critical-values", "-r", "2", "-d", "4", "-k", "2", "--degree-bound", "\uff19"],
+             "--degree-bound", "\uff19"),
+            (["critical-values", "-r", "2", "-d", "4", "-k", "2", "--section-bound", "1.0"],
+             "--section-bound", "1.0"),
+            (["destable-example", "--genus", "\u0664"], "--genus", "\u0664"),
+            (["gale", "--input", "-", "--seed", "\u0663"], "--seed", "\u0663"),
+            (["hypersurface", "verify", "duality", "--samples", "\u0663"], "--samples", "\u0663"),
+            (["hypersurface", "verify", "segre", "--seed", "0x10"], "--seed", "0x10"),
+            (["verify-all", "--samples", "0", "--seed", "\u0663"], "--seed", "\u0663"),
+        ],
+    )
+    def test_integer_options_take_ascii_digits_only(self, cli, argv, flag, value):
+        code, out, err = cli(argv)
+        assert code == 2
+        assert out == ""
+        message = f"argument {flag}: invalid int value: {value!r}"
+        assert payload(err) == {"error": {"type": "UsageError", "message": message}}
+
+    def test_integer_options_take_a_sign_and_surrounding_space(self, cli):
+        argv = ["critical-values", "-r", " 2 ", "-d", "+4", "-k", "2", "--section-bound", "-0"]
+        code, out, _ = cli(argv)
+        assert code == 0
+        assert payload(out) == {"values": ["1", "2"]}
 
     @pytest.mark.parametrize("argv", [["--help"], ["gale", "--help"]])
     def test_help_still_exits_zero(self, cli, argv):

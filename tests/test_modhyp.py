@@ -568,12 +568,21 @@ class TestOnePowerPass:
     def test_duality_makes_three_passes_per_sample(self, monkeypatch, passes):
         import stabgeom.modhyp
 
-        points = sample_segre_points(10, seed=0)
-        monkeypatch.setattr(stabgeom.modhyp, "sample_segre_points", lambda count, seed=0: points)
+        # the sampler's table for x serves its on-cubic test and the forward
+        # image, so the check adds two passes per sample: y and z
+        samples = list(stabgeom.modhyp._segre_samples(10, 0))
+        assert len(passes) >= 10
+        monkeypatch.setattr(stabgeom.modhyp, "_segre_samples", lambda count, seed: iter(samples))
         del passes[:]
         report = duality_check(10, 0)
         assert report.passed and report.reverse_skipped == 0
-        assert len(passes) == 30
+        assert len(passes) == 20
+
+    def test_duality_pass_count(self, passes):
+        # 93 sampler attempts for 60 samples, then y and z for each sample
+        report = duality_check(60, 5)
+        assert report.passed
+        assert len(passes) == 213
 
     def test_singularity_test_and_polar_map_make_one_pass(self, passes):
         x = sample_segre_points(1, seed=0)[0]
