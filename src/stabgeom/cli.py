@@ -182,19 +182,24 @@ def _cmd_gale(args: argparse.Namespace) -> int:
 
 
 def _cmd_hypersurface_verify(args: argparse.Namespace) -> int:
-    if args.samples is not None:
-        _check_int(args.samples, "samples", 0)
-    if args.target == "segre":
-        search = 10_000 if args.samples is None else args.samples
-        result = check_segre_nodes(search, args.seed)
-        _emit(result.to_json())
-        return 0 if result.passed else 1
     if args.target == "igusa":
+        # the igusa check draws nothing, so a sample count or seed would change nothing
+        for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
+            if value is not None:
+                raise UsageError(f"argument {flag}: not allowed with target igusa")
         result = check_igusa()
         _emit(result.to_json())
         return 0 if result.passed else 1
+    if args.samples is not None:
+        _check_int(args.samples, "samples", 0)
+    seed = 0 if args.seed is None else args.seed
+    if args.target == "segre":
+        search = 10_000 if args.samples is None else args.samples
+        result = check_segre_nodes(search, seed)
+        _emit(result.to_json())
+        return 0 if result.passed else 1
     samples = 200 if args.samples is None else args.samples
-    report = duality_check(samples, args.seed)
+    report = duality_check(samples, seed)
     _emit(report.to_json())
     return 0 if report.passed else 1
 
@@ -278,9 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gale", help="Gale transform and self-association test")
     p.add_argument("--input", required=True, help="configuration JSON file, or - for stdin")
-    p.add_argument(
-        "--seed", type=_int_arg, default=0, help="accepted for compatibility; has no effect"
-    )
     p.set_defaults(func=_cmd_gale)
 
     p = sub.add_parser("hypersurface", help="cubic/quartic verification commands")
@@ -291,9 +293,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=_int_arg,
         default=None,
-        help="search points for segre (default 10000), sample count for duality (default 200)",
+        help="search points for segre (default 10000), sample count for duality "
+        "(default 200); not allowed with igusa",
     )
-    pv.add_argument("--seed", type=_int_arg, default=0)
+    pv.add_argument(
+        "--seed", type=_int_arg, default=None, help="default 0; not allowed with igusa"
+    )
     pv.set_defaults(func=_cmd_hypersurface_verify)
 
     p = sub.add_parser("incidence", help="the 15_3 point-line structure")

@@ -109,12 +109,21 @@ class ProjectivePoint:
 
     Canonical form: coprime integer coordinates whose first nonzero entry
     is positive; two equal points therefore compare equal syntactically.
+    The constructor validates its input; ``_of`` only canonicalizes, for
+    nonzero int vectors the program built itself.
     """
 
     coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[ScalarLike]):
         object.__setattr__(self, "coords", _canonical_int_vector(coords))
+
+    @classmethod
+    def _of(cls, ints: Sequence[int]) -> "ProjectivePoint":
+        """The point of a nonzero int vector, made primitive with no other check."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", _primitive(ints))
+        return point
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -424,7 +433,8 @@ class ProjectiveTransform:
             raise ValueError(
                 f"point has {len(point)} coordinates, transform acts on {len(self.matrix)}"
             )
-        return ProjectivePoint(_mat_vec_ints(self.matrix, point.coords))
+        # an invertible matrix sends a nonzero vector to a nonzero one
+        return ProjectivePoint._of(_mat_vec_ints(self.matrix, point.coords))
 
 
 _Flat = tuple[int, tuple[int, ...]]
@@ -556,8 +566,9 @@ def projectively_equivalent(
         t2, c = _frame_transform(c2)
     except FrameDegenerateError:
         return None
-    norm1 = [ProjectivePoint(_mat_vec_ints(t1, p.coords)) for p in c1.points]
-    norm2 = [ProjectivePoint(_mat_vec_ints(t2, p.coords)) for p in c2.points]
+    # t1 and t2 are invertible, so no normalized point is zero
+    norm1 = [ProjectivePoint._of(_mat_vec_ints(t1, p.coords)) for p in c1.points]
+    norm2 = [ProjectivePoint._of(_mat_vec_ints(t2, p.coords)) for p in c2.points]
     if norm1 != norm2:
         return None
     # t2 is proportional to diag(c)^-1 M2^-1, so M2 diag(c) t1 carries c1 onto c2;

@@ -115,7 +115,8 @@ def gale_transform(config: PointConfiguration) -> GaleData:
     points = []
     diag = []
     for row in gp_rows:
-        point = ProjectivePoint(row)
+        # zero rows were refused above
+        point = ProjectivePoint._of(row)
         points.append(point)
         # raw row = D_i * canonical row, so D_i restores G^T D G' = 0
         diag.append(Fraction(next(v // p for v, p in zip(row, point.coords) if p)))

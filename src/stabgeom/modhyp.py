@@ -39,6 +39,7 @@ from .exactgeom import (
     _canonical_int_vector,
     _check_int,
     _entries,
+    _primitive,
     parse_scalar,
     rank,
 )
@@ -291,7 +292,12 @@ class SymmetricHypersurfaceModel:
 
 @dataclass(frozen=True, init=False)
 class AmbientPoint:
-    """A canonical projective point of the hyperplane sum(x) = 0 in six coordinates."""
+    """A canonical projective point of the hyperplane sum(x) = 0 in six coordinates.
+
+    The constructor validates its input; ``_of`` only canonicalizes, for
+    nonzero sum-zero int vectors of length six that the program built
+    itself.
+    """
 
     coords: tuple[int, ...]
 
@@ -302,6 +308,13 @@ class AmbientPoint:
         if sum(ints) != 0:
             raise ValueError("coordinates must sum to zero")
         object.__setattr__(self, "coords", ints)
+
+    @classmethod
+    def _of(cls, ints: Sequence[int]) -> "AmbientPoint":
+        """The point of a nonzero sum-zero int 6-vector, made primitive with no other check."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", _primitive(ints))
+        return point
 
 
 def segre_cubic() -> SymmetricHypersurfaceModel:
@@ -392,7 +405,8 @@ def _node_point(split: Split) -> AmbientPoint:
         coords[i] = 1
     for i in split[1]:
         coords[i] = -1
-    return AmbientPoint(coords)
+    # three 1s and three -1s
+    return AmbientPoint._of(coords)
 
 
 def restricted_hessian_rank(model: SymmetricHypersurfaceModel, point: AmbientPoint) -> int:
@@ -441,7 +455,8 @@ def igusa_points() -> list[IgusaPoint]:
         coords = [1] * NVARS
         for i in pair:
             coords[i] = -2
-        out.append(IgusaPoint(point=AmbientPoint(coords), pair=pair))
+        # four 1s and two -2s
+        out.append(IgusaPoint(point=AmbientPoint._of(coords), pair=pair))
     return out
 
 
@@ -499,7 +514,8 @@ def _polar_image(grad: Sequence) -> AmbientPoint:
         raise SingularPointError(
             "gradient is normal to the hyperplane: the point is singular"
         )
-    return AmbientPoint(centered)
+    # nonzero, and centring makes the sum zero
+    return AmbientPoint._of(centered)
 
 
 def _random_direction(rng: random.Random) -> list[int]:
@@ -535,6 +551,12 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
     is a simple root, so the derivative there, a3*lambda*^2, is nonzero; it
     is a multiple of grad p3(R) . w, and at a singular point grad p3 is a
     multiple of (1, ..., 1), whose product with w is a multiple of sum w = 0.
+
+    One call draws every sample from one random stream, in order, so
+    ``sample_segre_points(k, s)`` is a prefix of ``sample_segre_points(n, s)``
+    for k <= n, and distinct seeds, negative ones included, give distinct
+    streams. The points of a seed differ from those of versions that drew
+    each sample from a stream of its own.
     """
     return [point for point, _, _ in _segre_samples(count, seed)]
 
@@ -545,8 +567,9 @@ def _segre_samples(count: int, seed: int) -> Iterator[tuple[AmbientPoint, list, 
     _check_int(seed, "seed", -math.inf)
     model = segre_cubic()
     nodes = [n.point for n in segre_nodes()]
-    for index in range(count):
-        rng = random.Random(seed * 1_000_003 + index)
+    # Random seeds with |seed|, so the zigzag map keeps s and -s apart
+    rng = random.Random(2 * seed if seed >= 0 else -2 * seed - 1)
+    for _ in range(count):
         for _ in range(200):
             nu = nodes[rng.randrange(len(nodes))].coords
             w = _random_direction(rng)
@@ -554,12 +577,16 @@ def _segre_samples(count: int, seed: int) -> Iterator[tuple[AmbientPoint, list, 
             a3 = sum(wi**3 for wi in w)
             if a3 == 0 or a2 == 0:
                 continue
-            point = AmbientPoint([a3 * n - a2 * wi for n, wi in zip(nu, w)])
+            residual = [a3 * n - a2 * wi for n, wi in zip(nu, w)]
+            # sign-pairing is invariant under scaling, so the raw residual decides
+            if _sign_paired(residual):
+                continue
+            # a zero residual, a3*nu = a2*w, would force w = c*nu and so equal
+            # a3*nu - 3*(a3/c)*c*nu = -2*a3*nu, which is nonzero; its sum is zero
+            point = AmbientPoint._of(residual)
             cols, p = model._powers(point)
             if _at(model.terms, p) != 0:
                 raise RuntimeError("residual intersection left the cubic")
-            if _sign_paired(point.coords):
-                continue
             yield point, cols, p
             break
         else:

@@ -313,7 +313,8 @@ def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> tuple[list[
     rng = random.Random(seed * _SEED_STRIDE + 44)
     for _ in range(search_points):
         v = random_vector(rng, NVARS - 1, 30)
-        p = AmbientPoint(v + [-sum(v)])
+        # random_vector is nonzero, and the last entry makes the sum zero
+        p = AmbientPoint._of(v + [-sum(v)])
         if verify_singular_point(model, p) and p.coords not in coords_set:
             failures.append(f"stray singular point {p.coords}")
     # a stray is a failure, so a passing search found no extra singular point

@@ -426,13 +426,18 @@ class TestGaleGoldenBytes:
     )
     def test_stdout_bytes(self, cli, config_file, rows, self_associated, digest):
         path = config_file(rows)
-        # --seed is a documented no-op: the bytes must not depend on it
-        for argv in (["gale", "--input", path], ["gale", "--input", path, "--seed", "7"]):
-            code, out, err = cli(argv)
-            assert code == 0
-            assert err == ""
-            assert payload(out)["self_associated"] is self_associated
-            assert hashlib.sha256(out.encode()).hexdigest() == digest
+        code, out, err = cli(["gale", "--input", path])
+        assert code == 0
+        assert err == ""
+        assert payload(out)["self_associated"] is self_associated
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # gale draws nothing, so it takes no --seed
+        code, out, err = cli(["gale", "--input", path, "--seed", "7"])
+        assert code == 2
+        assert out == ""
+        assert payload(err) == {
+            "error": {"type": "UsageError", "message": "unrecognized arguments: --seed 7"}
+        }
 
 
 _GOLDEN_SEEDS = ("0", "7", "123456789")
@@ -758,7 +763,6 @@ class TestHypersurface:
             (["hypersurface", "verify", "segre"], "samples must be nonnegative"),
             (["hypersurface", "verify", "duality"], "samples must be nonnegative"),
             (["verify-all"], "samples must be nonnegative"),
-            (["hypersurface", "verify", "igusa"], "samples must be nonnegative"),
         ],
     )
     def test_negative_samples_exit_two(self, cli, argv, message):
@@ -766,6 +770,23 @@ class TestHypersurface:
         assert code == 2
         assert out == ""
         assert payload(err) == {"error": {"type": "ValueError", "message": message}}
+
+    @pytest.mark.parametrize(
+        "options, flag",
+        [
+            (["--samples", "-1"], "--samples"),
+            (["--samples", "5"], "--samples"),
+            (["--seed", "0"], "--seed"),
+            (["--seed", "3", "--samples", "5"], "--samples"),
+        ],
+    )
+    def test_igusa_takes_no_samples_or_seed(self, cli, options, flag):
+        # the igusa check draws nothing, so neither option could change its output
+        code, out, err = cli(["hypersurface", "verify", "igusa"] + options)
+        assert code == 2
+        assert out == ""
+        message = f"argument {flag}: not allowed with target igusa"
+        assert payload(err) == {"error": {"type": "UsageError", "message": message}}
 
     def test_igusa(self, cli):
         code, out, _ = cli(["hypersurface", "verify", "igusa"])
@@ -930,6 +951,7 @@ class TestErrorPaths:
             (["git-classify", "--input", "x.json"], "the following arguments are required: --g"),
             (["hypersurface", "verify", "cubic"], "argument target: invalid choice: 'cubic'"),
             (["critical-values", "-r", "two", "-d", "4", "-k", "2"], "argument -r: invalid int value: 'two'"),
+            (["gale", "--input", "-", "--seed", "\u0663"], "unrecognized arguments: --seed \u0663"),
         ],
     )
     def test_usage_errors_are_typed_json(self, cli, argv, message):
@@ -955,7 +977,7 @@ class TestErrorPaths:
             (["critical-values", "-r", "2", "-d", "4", "-k", "2", "--section-bound", "1.0"],
              "--section-bound", "1.0"),
             (["destable-example", "--genus", "\u0664"], "--genus", "\u0664"),
-            (["gale", "--input", "-", "--seed", "\u0663"], "--seed", "\u0663"),
+            (["hypersurface", "verify", "duality", "--seed", "\u0663"], "--seed", "\u0663"),
             (["hypersurface", "verify", "duality", "--samples", "\u0663"], "--samples", "\u0663"),
             (["hypersurface", "verify", "segre", "--seed", "0x10"], "--seed", "0x10"),
             (["verify-all", "--samples", "0", "--seed", "\u0663"], "--seed", "\u0663"),

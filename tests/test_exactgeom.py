@@ -161,6 +161,19 @@ class TestProjectivePoint:
         assert point == ProjectivePoint([Fraction(c) for c in coords])
         assert all(type(c) is int for c in point.coords)
 
+    @given(
+        st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=6),
+        st.integers(-10**6, 10**6).filter(bool),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_private_constructor_equals_the_public_one(self, coords, factor, zeros):
+        # leading zeros, a common factor and a negative lead all reach _primitive
+        v = [0] * zeros + [factor * c for c in coords]
+        if not any(v):
+            return
+        assert ProjectivePoint._of(v) == ProjectivePoint(v)
+
     @given(st.lists(entries, min_size=1, max_size=5), st.fractions())
     def test_scaling_is_invisible(self, coords, scale):
         if not any(coords) or scale == 0:

@@ -274,6 +274,16 @@ class TestAmbientPoint:
         assert ints.coords == (3, -2, 1, 0, -1, -1)
         assert AmbientPoint([Fraction(c, 7) for c in (6, -4, 2, 0, -2, -2)]) == ints
 
+    @given(
+        st.lists(st.integers(-10**30, 10**30), min_size=NVARS - 1, max_size=NVARS - 1),
+        st.integers(1, 10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_private_constructor_equals_the_public_one(self, head, factor):
+        v = [factor * x for x in head + [-sum(head)]]
+        assume(any(v))
+        assert AmbientPoint._of(v) == AmbientPoint(v)
+
 
 class TestSegreNodes:
     def test_ten_nodes_singular_and_nodal(self):
@@ -453,6 +463,17 @@ class TestSampling:
         assert a == b
         assert a != c
 
+    def test_a_seed_and_its_negative_draw_apart(self):
+        for s in range(1, 51):
+            assert sample_segre_points(1, s) != sample_segre_points(1, -s), s
+
+    # an int of 5,001 digits: str() of it is refused, Random(it) is not
+    @pytest.mark.parametrize("seed", [0, -3, 7, 10**5000], ids=["0", "-3", "7", "10**5000"])
+    def test_fewer_samples_are_a_prefix(self, seed):
+        points = sample_segre_points(12, seed)
+        for k in (0, 1, 5, 12):
+            assert sample_segre_points(k, seed) == points[:k]
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             sample_segre_points(-1)
@@ -579,10 +600,10 @@ class TestOnePowerPass:
         assert len(passes) == 20
 
     def test_duality_pass_count(self, passes):
-        # 93 sampler attempts for 60 samples, then y and z for each sample
+        # x, y and z for each of the 60 samples: a rejected draw builds no table
         report = duality_check(60, 5)
         assert report.passed
-        assert len(passes) == 213
+        assert len(passes) == 180
 
     def test_singularity_test_and_polar_map_make_one_pass(self, passes):
         x = sample_segre_points(1, seed=0)[0]
@@ -592,10 +613,9 @@ class TestOnePowerPass:
         polar_map(segre_cubic(), x)
         assert len(passes) == 2
 
-    def test_sampler_makes_one_pass_per_attempt(self, passes):
-        # every attempt builds a fresh residual point and one table for it,
-        # so no point object is passed twice
+    def test_sampler_makes_one_pass_per_sample(self, passes):
+        # draws are rejected before their point is built, so each table
+        # belongs to a distinct returned point
         points = sample_segre_points(20, seed=0)
-        assert len(passes) >= len(points)
-        assert len({id(p) for p in passes}) == len(passes)
-        assert all(any(p is q for q in passes) for p in points)
+        assert len(passes) == len(points)
+        assert all(p is q for p, q in zip(passes, points))
