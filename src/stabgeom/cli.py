@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
@@ -26,7 +25,15 @@ from .cohsys import (
     subsystem_types_from_config,
 )
 from .errors import FrameDegenerateError, SchemaError, UsageError
-from .exactgeom import PointConfiguration, _check_int, _positive, format_scalar, parse_scalar
+from .exactgeom import (
+    _INT_RE,
+    PointConfiguration,
+    _check_int,
+    _positive,
+    _shown,
+    format_scalar,
+    parse_scalar,
+)
 from .gale import gale_transform
 from .gitstab import classify
 from .modhyp import duality_check, incidence_15_3
@@ -82,14 +89,11 @@ def _fail(exc: BaseException) -> int:
     return 2
 
 
-_INT_RE = re.compile(r"[+-]?[0-9]+")
-
-
 def _int_arg(text: str) -> int:
     """An integer option: ASCII digits after an optional sign, as ``parse_scalar`` reads them."""
     stripped = text.strip()
     if not _INT_RE.fullmatch(stripped):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
     return int(stripped)
 
 

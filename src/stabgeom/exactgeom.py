@@ -32,12 +32,23 @@ from .errors import FrameDegenerateError, SchemaError
 ScalarLike = Union[int, str, Fraction]
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
+# an integer as the CLI options and STAB_MAX_SUBSET_SIZE read it: ASCII digits only
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _shown(value: object) -> str:
+    """The repr of an input value for an error message, cut after 100 characters."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past CPython's limit on digits for str()
+        return f"<{type(value).__name__} too large to show>"
+    return text if len(text) <= 100 else text[:100] + "..."
 
 
 def parse_scalar(value: ScalarLike) -> Fraction:
     """Parse a rational given as an int, a Fraction, or a "p/q" / "p" string."""
     if isinstance(value, bool):
-        raise SchemaError(f"not a rational: {value!r}")
+        raise SchemaError(f"not a rational: {_shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Fraction):
@@ -45,9 +56,9 @@ def parse_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_RE.fullmatch(text):
-            raise SchemaError(f"not a rational literal: {value!r}")
+            raise SchemaError(f"not a rational literal: {_shown(value)}")
         return Fraction(text)
-    raise SchemaError(f"not a rational: {value!r}")
+    raise SchemaError(f"not a rational: {_shown(value)}")
 
 
 def format_scalar(value: ScalarLike) -> str:
@@ -65,7 +76,7 @@ def _check_int(value: object, what: str, least: float) -> int:
     ValueError. A seed's ``least`` is ``-math.inf``.
     """
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{what} must be an integer: {value!r}")
+        raise SchemaError(f"{what} must be an integer: {_shown(value)}")
     if value < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{what} must be {bound}")
@@ -186,7 +197,7 @@ class PointConfiguration:
             try:
                 parsed.append(ProjectivePoint(row))
             except (SchemaError, ValueError) as exc:
-                raise SchemaError(f"bad point {row!r}: {exc}") from exc
+                raise SchemaError(f"bad point {_shown(row)}: {exc}") from exc
         return cls(rank, parsed)
 
     def to_json_dict(self) -> dict:
@@ -214,11 +225,11 @@ def _entries(items: Iterable, what: str = "a coordinate vector") -> list:
     would otherwise be read character by character.
     """
     if isinstance(items, (str, bytes)):
-        raise SchemaError(f"{what} cannot be a string: {items!r}")
+        raise SchemaError(f"{what} cannot be a string: {_shown(items)}")
     try:
         values = iter(items)
     except TypeError:
-        raise SchemaError(f"{what} must be iterable: {items!r}") from None
+        raise SchemaError(f"{what} must be iterable: {_shown(items)}") from None
     return list(values)
 
 
@@ -445,21 +456,23 @@ def _flats(
 ) -> Iterator[_Flat]:
     """Yield (dim, members) once for every proper point-spanned subspace.
 
-    Reverse search (Avis and Fukuda, 1996), depth first, with repeated
-    points collapsed into groups. A flat F on the stack keeps the primitive
-    image in V/F of each distinct point outside it; its children, one rank
-    up, join F to a class of equal images and get their own images from
-    F's by one small elimination per outside point. A flat's canonical
-    parent is the span of its lex-first basis minus that basis's last
-    point, so F + class is canonical iff min(class) comes after F's last
-    point, and min(class) is then the child's last point. Skipping every
-    other child generates each flat once with no table of the flats seen;
-    the stack holds fewer than n pending flats per rank. ``members`` is
-    ascending. Ambient rank 1 yields nothing.
+    Reverse search (Avis and Fukuda, 1996), depth first. A flat F on the
+    stack keeps its quotient classes: each primitive image in V/F of a
+    point outside F, mapped to the indices of the points with that image,
+    in ascending order of least member, which leads its list. Its
+    children, one rank up, join F to one class, and each gets its own
+    classes from F's by one small elimination per class of V/F, merging
+    the classes whose images become equal. A flat's canonical parent is
+    the span of its lex-first basis minus that basis's last point, so
+    F + class is canonical iff min(class) comes after F's last point, and
+    min(class) is then the child's last point. Skipping every other child
+    generates each flat once with no table of the flats seen; the stack
+    holds fewer than n pending flats per rank. ``members`` is ascending.
+    Ambient rank 1 yields nothing.
 
     Branch and bound: each child C = F + u below the hyperplanes is
     yielded, then ``descend(dim C, reach)`` is asked whether to build C's
-    images and search below it; with ``descend=None`` every flat is
+    classes and search below it; with ``descend=None`` every flat is
     searched. ``reach`` is |C| plus the points of F's classes whose least
     member comes after min(u), and every flat G below C has
     dim G >= dim C + 1 and |G| <= reach. Proof: G's lex-first basis
@@ -469,43 +482,44 @@ def _flats(
     contains span(F, w), hence all of K, so min(K) > min(u).
     """
     r = config.ambient_rank
-    # canonical coordinates make equal rows the same point
-    indices: dict[tuple[int, ...], list[int]] = {}
+    # canonical coordinates make equal rows the same point, so this is the
+    # zero flat's class table
+    classes: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(config.rows()):
-        indices.setdefault(row, []).append(i)
-    groups = list(indices.values())
-    # the zero subspace, in whose quotient every point is its own image
-    stack = [(0, (), -1, dict(enumerate(indices)))] if r > 1 else []
+        classes.setdefault(row, []).append(i)
+    stack = [(0, (), -1, classes)] if r > 1 else []
     while stack:
-        dim, members, last, images = stack.pop()
+        dim, members, last, classes = stack.pop()
         dim += 1
-        classes: dict[tuple[int, ...], list[int]] = {}
-        for d, image in images.items():
-            classes.setdefault(image, []).append(d)
-        # image dicts keep index order, so each class is ascending and the
-        # classes come in ascending order of their least member
         bounded = descend is not None and dim < r - 1
         if bounded:
-            later = sum(len(groups[d]) for d in images)
+            later = sum(map(len, classes.values()))
         for u, new in classes.items():
             if bounded:
-                later -= sum(len(groups[d]) for d in new)
+                later -= len(new)
             if new[0] < last:
                 continue
-            flat = tuple(sorted((*members, *(i for d in new for i in groups[d]))))
+            flat = tuple(sorted((*members, *new)))
             yield dim, flat
             if dim == r - 1 or bounded and not descend(dim, len(flat) + later):
                 continue
-            # images in V/(F + u): clear u's pivot column, then drop it
+            # classes of V/(F + u): clear u's pivot column, then drop it
             q = _pivot(u)
             lead = u[q]
-            child: dict[int, tuple[int, ...]] = {}
-            for d, w in images.items():
-                if w != u:  # the class's own points have image u
-                    f = w[q]
-                    if f:
-                        w = _primitive([lead * x - f * y for x, y in zip(w, u)])
-                    child[d] = w[:q] + w[q + 1:]
+            child: dict[tuple[int, ...], list[int]] = {}
+            for w, old in classes.items():
+                if w is u:
+                    continue
+                f = w[q]
+                if f:
+                    image = [lead * x - f * y for x, y in zip(w, u)]
+                    del image[q]  # a zero entry, so the content and the sign stay
+                    w = _primitive(image)
+                else:
+                    w = w[:q] + w[q + 1:]
+                # merge into a fresh list: the parent's lists are read again
+                # by its later children
+                child.setdefault(w, []).extend(old)
             stack.append((dim, flat, new[0], child))
 
 

@@ -25,6 +25,7 @@ from .errors import SubsetTooLargeError
 from .exactgeom import (
     PointConfiguration,
     ScalarLike,
+    _INT_RE,
     _Flat,
     _flats,
     _positive,
@@ -162,10 +163,10 @@ def oracle_classify(config: PointConfiguration, g: ScalarLike) -> StabilityVerdi
     cap = DEFAULT_ORACLE_CAP
     override = os.environ.get(ORACLE_CAP_ENV)
     if override is not None:
-        try:
-            cap = int(override)
-        except ValueError as exc:
-            raise ValueError(f"{ORACLE_CAP_ENV} must be an integer") from exc
+        stripped = override.strip()
+        if not _INT_RE.fullmatch(stripped):
+            raise ValueError(f"{ORACLE_CAP_ENV} must be an integer")
+        cap = int(stripped)
     if n > cap:
         raise SubsetTooLargeError(
             f"{n} points exceeds the exhaustive enumeration cap of {cap}"

@@ -40,6 +40,7 @@ from .exactgeom import (
     _check_int,
     _entries,
     _primitive,
+    _shown,
     parse_scalar,
     rank,
 )
@@ -59,7 +60,7 @@ class Polynomial:
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)
             if len(key) != NVARS or any(e < 0 for e in key):
-                raise ValueError(f"bad exponent tuple {exps!r}")
+                raise ValueError(f"bad exponent tuple {_shown(exps)}")
             c = Fraction(coeff)
             if c:
                 clean[key] = c
@@ -208,7 +209,7 @@ class SymmetricHypersurfaceModel:
     def __init__(self, name: str, degree: int, terms: Mapping[Partition, int]):
         _check_int(degree, "degree", 1)
         if not isinstance(terms, Mapping):
-            raise SchemaError(f"terms must be a mapping, not {terms!r}")
+            raise SchemaError(f"terms must be a mapping, not {_shown(terms)}")
         merged: dict[Partition, int] = {}
         for parts, coeff in terms.items():
             if (
@@ -216,13 +217,13 @@ class SymmetricHypersurfaceModel:
                 or not parts
                 or any(type(k) is not int or not 1 <= k <= NVARS for k in parts)
             ):
-                raise ValueError(f"malformed partition {parts!r}")
+                raise ValueError(f"malformed partition {_shown(parts)}")
             if 1 in parts:
                 raise ValueError(
                     f"partition {parts!r} has a part 1: p1 vanishes on the hyperplane"
                 )
             if type(coeff) is not int:
-                raise ValueError(f"coefficient {coeff!r} is not an integer")
+                raise ValueError(f"coefficient {_shown(coeff)} is not an integer")
             if sum(parts) != degree:
                 raise ValueError("partition degree does not match the declared degree")
             key = tuple(sorted(parts, reverse=True))

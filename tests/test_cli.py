@@ -924,6 +924,16 @@ class TestErrorPaths:
         assert code == 2
         assert payload(err)["error"]["type"] == "SchemaError"
 
+    def test_a_long_coordinate_is_echoed_cut(self, cli, config_file):
+        # 5,000 digits match the rational pattern; CPython's 4,300-digit limit
+        # on int parsing refuses them, and the message echoes the row
+        path = config_file([["1" * 5000, "1"]])
+        code, out, err = cli(["git-classify", "--g", "2", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert payload(err)["error"]["type"] == "SchemaError"
+        assert len(err.encode()) < 1024
+
     def test_non_rational_weight(self, cli, config_file):
         path = config_file(TRIPLE_ROWS)
         code, _, err = cli(["git-classify", "--g", "1.5", "--input", path])

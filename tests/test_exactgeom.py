@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical forms, rank, spans, kernels, transforms."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from stabgeom import (
     ProjectivePoint,
     ProjectiveTransform,
     SchemaError,
+    classify,
     format_scalar,
     parse_scalar,
     projectively_equivalent,
@@ -26,12 +28,15 @@ from stabgeom.exactgeom import (
     _inverse_ints,
     _primitive,
     _rank_ints,
+    _shown,
     echelon_basis,
     in_span,
     kernel_basis,
     point_spanned_subspaces,
     reduced_row_echelon,
 )
+
+import stabgeom.gitstab
 
 from helpers import config_of, degenerate_configurations, gauss_rank, rref
 
@@ -117,6 +122,20 @@ class TestScalars:
     def test_parse_rejects_non_rationals(self, bad):
         with pytest.raises(SchemaError):
             parse_scalar(bad)
+
+    def test_an_echoed_value_is_cut_after_100_characters(self):
+        assert _shown("ab") == "'ab'"
+        assert _shown("7" * 98) == repr("7" * 98)
+        assert _shown("7" * 500) == "'" + "7" * 99 + "..."
+        with pytest.raises(SchemaError, match=r"^not a rational literal: '7{99}\.\.\.$"):
+            parse_scalar("7" * 5000 + "x")
+
+    def test_an_int_past_the_digit_limit_is_not_echoed(self):
+        # repr of an int of more than 4,300 digits raises ValueError
+        assert _shown(10**5000) == "<int too large to show>"
+        assert _shown([1, 10**5000]) == "<list too large to show>"
+        with pytest.raises(SchemaError, match="must be iterable: <int too large to show>$"):
+            PointConfiguration.from_rows(10**5000)
 
     @pytest.mark.parametrize("bad", [True, 0.5, "1.5"])
     def test_format_rejects_non_rationals(self, bad):
@@ -527,6 +546,9 @@ class TestPointSpannedSubspaces:
     @example(config_of((1,), (2,), (-3,)))
     @example(config_of(*[(1, 2, 0, -1)] * 7))
     @example(config_of((1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1)))
+    # in V/span(0, 1) points 2 and 3 have one image, and the flat (0, 1, 2, 3)
+    # built from that merged class is searched below
+    @example(config_of((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 0)))
     def test_flats_match_independent_rank_reference(self, config):
         assert_flats_match_reference(config)
 
@@ -564,6 +586,76 @@ class TestPointSpannedSubspaces:
     def test_rank_two_flats_are_the_distinct_points(self):
         config = config_of((1, 0), (2, 0), (0, 1), (1, 1), (0, -3), (-1, -1), (2, -1))
         assert point_spanned_subspaces(config) == [(1, (0, 1)), (1, (2, 4)), (1, (3, 5)), (1, (6,))]
+
+
+def pinned_configurations(r):
+    """Five seeded configurations of r + 2 to 3r + 2 points of P^(r-1), with
+    repeats and collinear points."""
+    rng = random.Random(7000 + r)
+    for _ in range(5):
+        rows = []
+        for _ in range(rng.randint(r + 2, 3 * r + 2)):
+            kind = rng.choice(("random", "repeat", "collinear"))
+            if kind == "repeat" and rows:
+                row = rng.choice(rows)
+            elif kind == "collinear" and len(rows) >= 2:
+                a, b = rng.sample(rows, 2)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                row = [s * x + t * y for x, y in zip(a, b)]
+            else:
+                row = [rng.randint(-3, 3) for _ in range(r)]
+            rows.append(row if any(row) else [1] + [0] * (r - 1))
+        yield config_of(*rows)
+
+
+class TestFlatStreamPin:
+    """The flats ``_flats`` yields, in order, unpruned and under the margin
+    bound of ``classify``, pinned by digest: the order decides which flats
+    the bound cuts, and the CI work gates count the pruned stream."""
+
+    @pytest.mark.parametrize(
+        "r, full, pruned",
+        [
+            (
+                3,
+                "eb740dd19a915300cc1971e09f831e590792b7d67e7733eb2f2a9626db0e57d0",
+                "9526a2ad21f0a8046d43b02eb832dd733b10f07d59d90381be80ecb37c71bd2e",
+            ),
+            (
+                4,
+                "171c0bc5a61fce67182591c26580db8917c26584b7fdceb819cc46c0f7a2f625",
+                "f277689c438729f2db70c28acfd2f03684a9eb29352ff6f6e340b1c074ae9636",
+            ),
+            (
+                5,
+                "d80784685197fbe82675fd5a7dbf8b43ad7318fefca25aed2350f63e50c2280b",
+                "ac9f2f620b6da1f60dbf6a4d24f709c1b5c5db9e7c17337361cd412281810d6c",
+            ),
+            (
+                6,
+                "349d853da898e5b613c928d80bdc8e205a42a2e6612cb2993bc8025dab230d19",
+                "8484aa05f42757a87c76738430cad305d51ca028dbba6454b0dfa7e77b5579eb",
+            ),
+        ],
+        ids=["r3", "r4", "r5", "r6"],
+    )
+    def test_streams_are_unchanged(self, monkeypatch, r, full, pruned):
+        configs = list(pinned_configurations(r))
+        seen = []
+
+        def recorded(config, descend=None):
+            for flat in _flats(config, descend):
+                seen[-1].append(flat)
+                yield flat
+
+        monkeypatch.setattr(stabgeom.gitstab, "_flats", recorded)
+        for config in configs:
+            for g in (1, Fraction(len(config), r), 3):
+                seen.append([])
+                classify(config, g)
+        streams = [list(_flats(config)) for config in configs]
+        assert hashlib.sha256(repr(streams).encode()).hexdigest() == full
+        assert hashlib.sha256(repr(seen).encode()).hexdigest() == pruned
 
 
 class TestProjectiveEquivalence:

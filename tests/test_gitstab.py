@@ -317,6 +317,20 @@ class TestOracleCap:
         with pytest.raises(ValueError):
             oracle_classify(config, 2)
 
+    @pytest.mark.parametrize("value", ["\u0661\u0662", "1_2"], ids=["arabic-indic", "underscore"])
+    def test_env_var_takes_ascii_digits_only(self, monkeypatch, value):
+        # int() reads both as 12; the CLI's integer options refuse both
+        config = config_of((1, 0), (0, 1))
+        monkeypatch.setenv("STAB_MAX_SUBSET_SIZE", value)
+        with pytest.raises(ValueError, match="^STAB_MAX_SUBSET_SIZE must be an integer$"):
+            oracle_classify(config, 2)
+
+    def test_env_var_takes_surrounding_space(self, monkeypatch):
+        config = config_of((1, 0), (0, 1), (1, 1), (1, 2))
+        monkeypatch.setenv("STAB_MAX_SUBSET_SIZE", " 3 ")
+        with pytest.raises(SubsetTooLargeError):
+            oracle_classify(config, 2)
+
 
 @st.composite
 def weighted_configurations(draw):
