@@ -29,8 +29,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import mul
+from itertools import combinations, repeat
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SchemaError, SingularPointError
@@ -44,6 +44,7 @@ from .exactgeom import (
     parse_scalar,
     rank,
 )
+from .randconf import _randints
 
 NVARS = 6
 
@@ -169,7 +170,10 @@ Partition = tuple[int, ...]
 
 def _at(terms: Iterable[tuple[Partition, int]], p: Sequence):
     """The combination sum(c * p[k1] * p[k2] * ...) at the power sums p."""
-    return sum(c * math.prod(p[k] for k in parts) for parts, c in terms)
+    total = 0
+    for parts, c in terms:
+        total += c * math.prod(map(p.__getitem__, parts))
+    return total
 
 
 def _d_dp(terms: Iterable[tuple[Partition, int]], k: int) -> list[tuple[Partition, int]]:
@@ -198,8 +202,8 @@ class SymmetricHypersurfaceModel:
     and serves the value, the gradient, the singularity test and the polar
     image. The gradient follows by the chain rule with
     dp_k/dx_i = k*x_i^(k-1), the Hessian from the second derivatives in
-    the p_k, so integer coordinates stay integers. The derivatives in the
-    p_k are taken once per model.
+    the p_k, so integer coordinates stay integers. The first and second
+    derivatives in the p_k are taken once per model.
     """
 
     name: str
@@ -237,7 +241,11 @@ class SymmetricHypersurfaceModel:
         # (k, dF/dp_k) for each order k in the form; not a field, so
         # equality, hash and repr see only name, degree and terms
         orders = sorted({k for parts, _ in clean for k in parts})
-        object.__setattr__(self, "_chain", tuple((k, _d_dp(clean, k)) for k in orders))
+        chain = tuple((k, _d_dp(clean, k)) for k in orders)
+        object.__setattr__(self, "_chain", chain)
+        # (k, l, d2F/dp_k dp_l) for each nonzero second derivative; not a field either
+        second = tuple((k, l, d2) for k, f in chain for l, _ in chain if (d2 := _d_dp(f, l)))
+        object.__setattr__(self, "_second", second)
 
     def _powers(self, point: "AmbientPoint | Sequence[ScalarLike]") -> tuple[list, list]:
         """Columns cols[j][i] = x_i^j for j = 0 .. degree, and the power sums p_0 .. p_degree."""
@@ -250,14 +258,13 @@ class SymmetricHypersurfaceModel:
         cols = [[1] * NVARS, list(coords)]
         for _ in range(self.degree - 1):
             cols.append(list(map(mul, cols[-1], coords)))
-        return cols, [sum(col) for col in cols]
+        return cols, list(map(sum, cols))
 
     def _gradient(self, cols: list, p: list) -> tuple:
         """The gradient from a point's power table: sum over k of dF/dp_k * k*x_i^(k-1)."""
         grad = [0] * NVARS
         for k, d in self._chain:
-            c = k * _at(d, p)
-            grad = [g + c * x for g, x in zip(grad, cols[k - 1])]
+            grad = list(map(add, grad, map(mul, cols[k - 1], repeat(k * _at(d, p)))))
         return tuple(grad)
 
     def evaluate(self, point: "AmbientPoint | Sequence[ScalarLike]"):
@@ -271,24 +278,21 @@ class SymmetricHypersurfaceModel:
 
         Entry (i, j) is the sum over k, l of d2F/dp_k dp_l times
         k*x_i^(k-1) * l*x_j^(l-1), plus, when i = j, the sum over k of
-        dF/dp_k times k*(k-1)*x_i^(k-2).
+        dF/dp_k times k*(k-1)*x_i^(k-2). The first part is a sum of outer
+        products: row i of the (k, l) one is k*x_i^(k-1) times the vector
+        d2F/dp_k dp_l * l*x^(l-1).
         """
         cols, p = self._powers(point)
-        second = [[_at(_d_dp(f, l), p) for l, _ in self._chain] for _, f in self._chain]
-        dx = [[k * x for x in cols[k - 1]] for k, _ in self._chain]
-        diag = [
-            sum(k * (k - 1) * _at(f, p) * cols[k - 2][i] for k, f in self._chain)
-            for i in range(NVARS)
-        ]
-        size = range(len(self._chain))
-        return [
-            [
-                sum(dx[a][i] * second[a][b] * dx[b][j] for a in size for b in size)
-                + (diag[i] if i == j else 0)
-                for j in range(NVARS)
-            ]
-            for i in range(NVARS)
-        ]
+        rows = [[0] * NVARS for _ in range(NVARS)]
+        for k, f in self._chain:
+            c = k * (k - 1) * _at(f, p)
+            for i, x in enumerate(cols[k - 2]):
+                rows[i][i] += c * x
+        for k, l, f in self._second:
+            c = k * l * _at(f, p)
+            v = [c * y for y in cols[l - 1]]
+            rows = [[h + x * vj for h, vj in zip(row, v)] for row, x in zip(rows, cols[k - 1])]
+        return rows
 
 
 @dataclass(frozen=True, init=False)
@@ -378,7 +382,7 @@ def verify_singular_point(model: SymmetricHypersurfaceModel, point: AmbientPoint
 
 def _along_normal(grad: Sequence) -> bool:
     """Whether a gradient is a multiple of (1, ..., 1), the hyperplane's normal."""
-    return all(g == grad[0] for g in grad[1:])
+    return grad.count(grad[0]) == len(grad)
 
 
 Split = tuple[tuple[int, int, int], tuple[int, int, int]]
@@ -417,11 +421,9 @@ def restricted_hessian_rank(model: SymmetricHypersurfaceModel, point: AmbientPoi
     entry (a, b) is h[a][b] - h[a][b+1] - h[a+1][b] + h[a+1][b+1].
     """
     h = model.hessian(point)
-    restricted = [
-        [h[a][b] - h[a][b + 1] - h[a + 1][b] + h[a + 1][b + 1] for b in range(NVARS - 1)]
-        for a in range(NVARS - 1)
-    ]
-    return rank(restricted)
+    # row differences h[a] - h[a+1], then column differences of those
+    rows = [list(map(sub, h[a], h[a + 1])) for a in range(NVARS - 1)]
+    return rank([list(map(sub, row[:-1], row[1:])) for row in rows])
 
 
 def segre_nodes() -> list[SegreNode]:
@@ -511,7 +513,7 @@ def _polar_image(grad: Sequence) -> AmbientPoint:
     """The gradient minus its coordinate mean, scaled by NVARS; see ``polar_map``."""
     total = sum(grad)
     centered = [NVARS * gi - total for gi in grad]
-    if all(c == 0 for c in centered):
+    if not any(centered):
         raise SingularPointError(
             "gradient is normal to the hyperplane: the point is singular"
         )
@@ -521,7 +523,7 @@ def _polar_image(grad: Sequence) -> AmbientPoint:
 
 def _random_direction(rng: random.Random) -> list[int]:
     """A direction in the hyperplane; the zero one has a3 = 0 and is skipped with those."""
-    w = [rng.randint(-9, 9) for _ in range(NVARS - 1)]
+    w = _randints(rng, -9, 9, NVARS - 1)
     w.append(-sum(w))
     return w
 
@@ -572,10 +574,11 @@ def _segre_samples(count: int, seed: int) -> Iterator[tuple[AmbientPoint, list, 
     rng = random.Random(2 * seed if seed >= 0 else -2 * seed - 1)
     for _ in range(count):
         for _ in range(200):
-            nu = nodes[rng.randrange(len(nodes))].coords
+            nu = nodes[_randints(rng, 0, len(nodes) - 1, 1)[0]].coords
             w = _random_direction(rng)
-            a2 = 3 * sum(n * wi * wi for n, wi in zip(nu, w))
-            a3 = sum(wi**3 for wi in w)
+            squares = list(map(mul, w, w))
+            a2 = 3 * sum(map(mul, nu, squares))
+            a3 = sum(map(mul, w, squares))
             if a3 == 0 or a2 == 0:
                 continue
             residual = [a3 * n - a2 * wi for n, wi in zip(nu, w)]

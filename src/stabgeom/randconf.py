@@ -2,6 +2,13 @@
 
 Verification plumbing: every generator takes an explicit random.Random,
 so the checks and the test suite are reproducible byte for byte.
+
+Every coordinate and matrix entry is drawn through ``_randints``, which draws
+``rng.getrandbits(width.bit_length())`` and rejects values of at least
+the width of the range. That is how ``randint`` draws on CPython
+3.10-3.13, so a seed gives the same values as ``randint`` would, and the
+points of a seed are unchanged. A length, rank or bound below 1 is
+refused up front: no draw could then end.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from .exactgeom import (
     PointConfiguration,
     ProjectivePoint,
     ProjectiveTransform,
+    _check_int,
     _frame_transform,
     rank,
 )
@@ -26,9 +34,32 @@ __all__ = [
 ]
 
 
+def _randints(rng: random.Random, low: int, high: int, count: int) -> list[int]:
+    """``[rng.randint(low, high) for _ in range(count)]``, with the same draws.
+
+    ``randint(low, high)`` is ``low + _randbelow(high - low + 1)``, and
+    ``_randbelow(width)`` draws ``getrandbits(width.bit_length())`` until the
+    value is below the width; this does the same through the public
+    ``getrandbits``, in one frame for all ``count`` values. Needs low <= high.
+    """
+    width = high - low + 1
+    bits = width.bit_length()
+    draw = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = draw(bits)
+        while r >= width:
+            r = draw(bits)
+        out.append(low + r)
+    return out
+
+
 def random_vector(rng: random.Random, length: int, bound: int = 5) -> list[int]:
+    """A nonzero vector with entries in [-bound, bound]."""
+    _check_int(length, "length", 1)
+    _check_int(bound, "bound", 1)
     while True:
-        v = [rng.randint(-bound, bound) for _ in range(length)]
+        v = _randints(rng, -bound, bound, length)
         if any(v):
             return v
 
@@ -42,6 +73,7 @@ def random_configuration(
     and up, a further slice lands on the line through two earlier points,
     so coincident and collinear patterns show up at useful rates.
     """
+    _check_int(ambient_rank, "ambient_rank", 1)
     points: list[ProjectivePoint] = []
     for _ in range(count):
         roll = rng.random()
@@ -60,8 +92,11 @@ def random_configuration(
 
 
 def random_transform(rng: random.Random, n: int, bound: int = 5) -> ProjectiveTransform:
+    """An invertible n x n integer matrix with entries in [-bound, bound]."""
+    _check_int(n, "n", 1)
+    _check_int(bound, "bound", 1)
     while True:
-        m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        m = [_randints(rng, -bound, bound, n) for _ in range(n)]
         if rank(m) == n:
             return ProjectiveTransform(m)
 
@@ -70,6 +105,8 @@ def random_frame_configuration(
     rng: random.Random, ambient_rank: int, count: int, bound: int = 9
 ) -> PointConfiguration:
     """Random points whose first rank+2 form a frame in general position."""
+    _check_int(ambient_rank, "ambient_rank", 1)
+    _check_int(bound, "bound", 1)
     if count < ambient_rank + 2:
         raise ValueError("need at least rank + 2 points for a frame")
     while True:

@@ -28,6 +28,7 @@ from stabgeom import (
     verify_singular_point,
 )
 from stabgeom.modhyp import NVARS, Polynomial, SegreNode, _sign_paired
+from stabgeom.verify import check_segre_nodes
 
 from helpers import expanded, gauss_rank, pencil_member, sign_paired_by_matching
 
@@ -604,6 +605,13 @@ class TestOnePowerPass:
         report = duality_check(60, 5)
         assert report.passed
         assert len(passes) == 180
+
+    def test_segre_pass_count(self, passes):
+        # one table per node test, per node Hessian and per stray point
+        for seed in (0, 7):
+            del passes[:]
+            assert check_segre_nodes(200, seed).passed
+            assert len(passes) == 220
 
     def test_singularity_test_and_polar_map_make_one_pass(self, passes):
         x = sample_segre_points(1, seed=0)[0]
