@@ -28,7 +28,6 @@ from .errors import FrameDegenerateError, SchemaError, UsageError
 from .exactgeom import (
     _INT_RE,
     PointConfiguration,
-    _check_int,
     _positive,
     _shown,
     format_scalar,
@@ -112,8 +111,7 @@ def _load_config(path: str) -> PointConfiguration:
 
 def _cmd_git_classify(args: argparse.Namespace) -> int:
     config = _load_config(args.input)
-    g = parse_scalar(args.g)
-    verdict = classify(config, g)
+    verdict = classify(config, args.g)
     _emit(
         {
             "class": verdict.classification.value,
@@ -156,7 +154,7 @@ def _cmd_alpha_check(args: argparse.Namespace) -> int:
 
 def _cmd_equivalence(args: argparse.Namespace) -> int:
     config = _load_config(args.input)
-    report = equivalence_check(config, parse_scalar(args.g))
+    report = equivalence_check(config, args.g)
     payload = report.to_json()
     payload["witness"] = report.git.witness.to_json() if report.git.witness else None
     _emit(payload)
@@ -194,8 +192,6 @@ def _cmd_hypersurface_verify(args: argparse.Namespace) -> int:
         result = check_igusa()
         _emit(result.to_json())
         return 0 if result.passed else 1
-    if args.samples is not None:
-        _check_int(args.samples, "samples", 0)
     seed = 0 if args.seed is None else args.seed
     if args.target == "segre":
         search = 10_000 if args.samples is None else args.samples

@@ -104,16 +104,6 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple([v // g for v in ints])
 
 
-def _canonical_int_vector(coords: Iterable[ScalarLike]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers, leading entry positive."""
-    ints = _clear_row_to_ints(coords)
-    if not ints:
-        raise ValueError("empty coordinate vector")
-    if not any(ints):
-        raise ValueError("zero vector does not define a projective point")
-    return _primitive(ints)
-
-
 @dataclass(frozen=True, init=False)
 class ProjectivePoint:
     """A point of projective space, stored as a primitive integer vector.
@@ -121,13 +111,19 @@ class ProjectivePoint:
     Canonical form: coprime integer coordinates whose first nonzero entry
     is positive; two equal points therefore compare equal syntactically.
     The constructor validates its input; ``_of`` only canonicalizes, for
-    nonzero int vectors the program built itself.
+    nonzero int vectors the program built itself that pass every check of
+    the class (a subclass such as ``modhyp.AmbientPoint`` adds its own).
     """
 
     coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[ScalarLike]):
-        object.__setattr__(self, "coords", _canonical_int_vector(coords))
+        ints = _clear_row_to_ints(coords)
+        if not ints:
+            raise ValueError("empty coordinate vector")
+        if not any(ints):
+            raise ValueError("zero vector does not define a projective point")
+        object.__setattr__(self, "coords", _primitive(ints))
 
     @classmethod
     def _of(cls, ints: Sequence[int]) -> "ProjectivePoint":

@@ -35,11 +35,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SchemaError, SingularPointError
 from .exactgeom import (
+    ProjectivePoint,
     ScalarLike,
-    _canonical_int_vector,
     _check_int,
     _entries,
-    _primitive,
     _shown,
     parse_scalar,
     rank,
@@ -296,30 +295,20 @@ class SymmetricHypersurfaceModel:
 
 
 @dataclass(frozen=True, init=False)
-class AmbientPoint:
-    """A canonical projective point of the hyperplane sum(x) = 0 in six coordinates.
+class AmbientPoint(ProjectivePoint):
+    """A projective point of the hyperplane sum(x) = 0 in six coordinates.
 
-    The constructor validates its input; ``_of`` only canonicalizes, for
-    nonzero sum-zero int vectors of length six that the program built
-    itself.
+    A ``ProjectivePoint`` with two more checks, so it goes wherever one
+    does; it equals only an ``AmbientPoint``. The inherited ``_of`` serves
+    the nonzero sum-zero int 6-vectors the program builds itself.
     """
 
-    coords: tuple[int, ...]
-
     def __init__(self, coords: Iterable[ScalarLike]):
-        ints = _canonical_int_vector(coords)
-        if len(ints) != NVARS:
+        super().__init__(coords)
+        if len(self.coords) != NVARS:
             raise ValueError(f"need {NVARS} coordinates")
-        if sum(ints) != 0:
+        if sum(self.coords) != 0:
             raise ValueError("coordinates must sum to zero")
-        object.__setattr__(self, "coords", ints)
-
-    @classmethod
-    def _of(cls, ints: Sequence[int]) -> "AmbientPoint":
-        """The point of a nonzero sum-zero int 6-vector, made primitive with no other check."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "coords", _primitive(ints))
-        return point
 
 
 def segre_cubic() -> SymmetricHypersurfaceModel:
@@ -561,14 +550,15 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
     streams. The points of a seed differ from those of versions that drew
     each sample from a stream of its own.
     """
-    return [point for point, _, _ in _segre_samples(count, seed)]
+    return [point for point, _, _ in _segre_samples(segre_cubic(), count, seed)]
 
 
-def _segre_samples(count: int, seed: int) -> Iterator[tuple[AmbientPoint, list, list]]:
-    """Yield each sample of ``sample_segre_points`` with its power table on the cubic."""
+def _segre_samples(
+    model: SymmetricHypersurfaceModel, count: int, seed: int
+) -> Iterator[tuple[AmbientPoint, list, list]]:
+    """Yield each sample of ``sample_segre_points`` with its power table on ``model``, the cubic."""
     _check_int(count, "count", 0)
     _check_int(seed, "seed", -math.inf)
-    model = segre_cubic()
     nodes = [n.point for n in segre_nodes()]
     # Random seeds with |seed|, so the zigzag map keeps s and -s apart
     rng = random.Random(2 * seed if seed >= 0 else -2 * seed - 1)
@@ -648,7 +638,7 @@ def duality_check(samples: int, seed: int = 0) -> DualityReport:
     reverse_ok = 0
     skipped = 0
     bad: list[tuple[str, tuple[int, ...]]] = []
-    for x, cols, p in _segre_samples(samples, seed):
+    for x, cols, p in _segre_samples(segre, samples, seed):
         y = _polar_image(segre._gradient(cols, p))
         cols, p = igusa._powers(y)
         if _at(igusa.terms, p) == 0:

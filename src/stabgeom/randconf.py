@@ -91,27 +91,25 @@ def random_configuration(
     return PointConfiguration(ambient_rank, points)
 
 
-def random_transform(rng: random.Random, n: int, bound: int = 5) -> ProjectiveTransform:
-    """An invertible n x n integer matrix with entries in [-bound, bound]."""
+def random_transform(rng: random.Random, n: int) -> ProjectiveTransform:
+    """An invertible n x n integer matrix with entries in [-5, 5]."""
     _check_int(n, "n", 1)
-    _check_int(bound, "bound", 1)
     while True:
-        m = [_randints(rng, -bound, bound, n) for _ in range(n)]
+        m = [_randints(rng, -5, 5, n) for _ in range(n)]
         if rank(m) == n:
             return ProjectiveTransform(m)
 
 
 def random_frame_configuration(
-    rng: random.Random, ambient_rank: int, count: int, bound: int = 9
+    rng: random.Random, ambient_rank: int, count: int
 ) -> PointConfiguration:
-    """Random points whose first rank+2 form a frame in general position."""
+    """Random points with entries in [-9, 9] whose first rank+2 form a frame in general position."""
     _check_int(ambient_rank, "ambient_rank", 1)
-    _check_int(bound, "bound", 1)
     if count < ambient_rank + 2:
         raise ValueError("need at least rank + 2 points for a frame")
     while True:
         points = [
-            ProjectivePoint(random_vector(rng, ambient_rank, bound))
+            ProjectivePoint(random_vector(rng, ambient_rank, 9))
             for _ in range(count)
         ]
         config = PointConfiguration(ambient_rank, points)
@@ -122,6 +120,6 @@ def random_frame_configuration(
         return config
 
 
-def random_conic_parameters(rng: random.Random, count: int = 6) -> list[int]:
-    """Pairwise distinct integer parameters for points on the standard conic."""
-    return rng.sample(range(-12, 13), count)
+def random_conic_parameters(rng: random.Random) -> list[int]:
+    """Six pairwise distinct integer parameters in [-12, 12] for points on the standard conic."""
+    return rng.sample(range(-12, 13), 6)

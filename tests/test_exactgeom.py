@@ -22,7 +22,6 @@ from stabgeom import (
     rank,
 )
 from stabgeom.exactgeom import (
-    _canonical_int_vector,
     _flats,
     _frame_transform,
     _inverse_ints,
@@ -90,13 +89,13 @@ def rref_kernel(m):
         vec[f] = Fraction(1)
         for i, p in enumerate(pivots):
             vec[p] = -rows[i][f]
-        out.append(_canonical_int_vector(vec))
+        out.append(ProjectivePoint(vec).coords)
     return out
 
 
 def rref_basis(m):
     """The reference Fraction RREF, each row cleared to primitive integers."""
-    return tuple(_canonical_int_vector(row) for row in rref(m)[0])
+    return tuple(ProjectivePoint(row).coords for row in rref(m)[0])
 
 
 def rref_inverse(m):

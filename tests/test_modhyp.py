@@ -1,6 +1,7 @@
 """The symmetric cubic and quartic: singular loci, incidence, duality."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -10,9 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 from stabgeom import (
     AmbientPoint,
     MatchingLine,
+    PointConfiguration,
+    ProjectivePoint,
+    ProjectiveTransform,
     SchemaError,
     SingularPointError,
     SymmetricHypersurfaceModel,
+    classify,
     duality_check,
     igusa_lines,
     igusa_points,
@@ -284,6 +289,52 @@ class TestAmbientPoint:
         v = [factor * x for x in head + [-sum(head)]]
         assume(any(v))
         assert AmbientPoint._of(v) == AmbientPoint(v)
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            ([], "empty coordinate vector"),
+            ([0] * 6, "zero vector does not define a projective point"),
+            ([1, 2], "need 6 coordinates"),
+            ([1, 0, 0, 0, 0, 0], "coordinates must sum to zero"),
+        ],
+    )
+    def test_the_checks_run_in_order(self, coords, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AmbientPoint(coords)
+
+
+class TestAmbientPointIsAProjectivePoint:
+    """The hyperplane's points are projective points with two more checks."""
+
+    V = (2, -4, 6, 0, -2, -2)
+
+    def test_is_a_projective_point(self):
+        assert isinstance(AmbientPoint(self.V), ProjectivePoint)
+
+    def test_equality_repr_and_frozenness_keep_the_class(self):
+        p = AmbientPoint(self.V)
+        assert p != ProjectivePoint(self.V) and ProjectivePoint(self.V) != p
+        assert p == AmbientPoint._of(self.V) and hash(p) == hash(AmbientPoint(self.V))
+        assert repr(p) == "AmbientPoint(coords=(1, -2, 3, 0, -1, -1))"
+        with pytest.raises(FrozenInstanceError):
+            p.coords = (1, -1, 0, 0, 0, 0)
+        with pytest.raises(FrozenInstanceError):
+            p.label = "new"
+
+    @pytest.mark.parametrize("g", [1, 2, 3, "5/2"])
+    def test_a_rank_six_configuration_classifies_like_its_twin(self, g):
+        # ten cubic points, a node and a repeat, all inside the hyperplane
+        points = sample_segre_points(10, 3) + [segre_nodes()[4].point]
+        points.append(points[2])
+        twin = [ProjectivePoint(p.coords) for p in points]
+        assert classify(PointConfiguration(6, points), g) == classify(
+            PointConfiguration(6, twin), g
+        )
+
+    def test_a_transform_moves_it_like_its_twin(self):
+        t = ProjectiveTransform([[1 if j <= i else 0 for j in range(6)] for i in range(6)])
+        assert t.apply(AmbientPoint(self.V)) == t.apply(ProjectivePoint(self.V))
 
 
 class TestSegreNodes:
@@ -592,9 +643,11 @@ class TestOnePowerPass:
 
         # the sampler's table for x serves its on-cubic test and the forward
         # image, so the check adds two passes per sample: y and z
-        samples = list(stabgeom.modhyp._segre_samples(10, 0))
+        samples = list(stabgeom.modhyp._segre_samples(segre_cubic(), 10, 0))
         assert len(passes) >= 10
-        monkeypatch.setattr(stabgeom.modhyp, "_segre_samples", lambda count, seed: iter(samples))
+        monkeypatch.setattr(
+            stabgeom.modhyp, "_segre_samples", lambda model, count, seed: iter(samples)
+        )
         del passes[:]
         report = duality_check(10, 0)
         assert report.passed and report.reverse_skipped == 0
