@@ -6,21 +6,22 @@ operation is a pure function. All arithmetic is exact and integral;
 ``Fraction`` appears only where rationals are parsed (``parse_scalar``)
 or formatted (``format_scalar``) and in ``reduced_row_echelon``'s output.
 
-Every basis comes from one fraction-free kernel, ``_extend_basis``: the
-reduced row echelon form, the echelon basis, the kernel and the inverse
-are views of the primitive integer echelon basis it builds. ``rank`` is
-Bareiss. The flats are enumerated by reverse search
-(``_flats``): each is generated once, from the flat its lex-first basis
-spans without its last point, so no table of the flats is kept. A
-caller's ``descend`` test may cut the search below a flat, given a bound
-on the size of every flat there (branch and bound).
+Every basis comes from one fraction-free kernel, ``_echelon``, a single
+Gauss-Jordan pass in which every division is exact (Bareiss): the
+reduced row echelon form, the echelon basis, the kernel, the inverse and
+the span test are views of the primitive integer echelon basis it
+builds. ``rank`` is Bareiss elimination below the pivots only. The
+flats are enumerated by reverse search (``_flats``): each is generated
+once, from the flat its lex-first basis spans without its last point, so
+no table of the flats is kept. A caller's ``descend`` test may cut the
+search below a flat, given a bound on the size of every flat there
+(branch and bound).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -296,49 +297,43 @@ def _rank_ints(m: list[list[int]]) -> int:
 _Basis = tuple[tuple[int, ...], ...]
 
 
-def _pivot(row: Sequence[int]) -> int:
-    return next(j for j, x in enumerate(row) if x)
-
-
-def _extend_basis(
-    basis: _Basis, pivots: tuple[int, ...], vector: Sequence[int]
-) -> tuple[_Basis, tuple[int, ...]]:
-    """Add a vector to a canonical primitive echelon basis.
-
-    Cross-multiplied row operations keep every entry an integer and each
-    new row is made primitive with a positive pivot, so the result is the
-    row space's RREF scaled row by row: exactly what echelon_basis returns.
-    A vector already in the span leaves the basis as it is.
-    """
-    v = list(vector)
-    for row, p in zip(basis, pivots):
-        f = v[p]
-        if f:
-            b = row[p]
-            v = [b * x - f * y for x, y in zip(v, row)]
-    if not any(v):
-        return basis, pivots
-    new = _primitive(v)
-    q = _pivot(new)
-    lead = new[q]
-    # rows pivoting after q are zero in column q and need no reduction
-    rows = [
-        _primitive([lead * x - row[q] * y for x, y in zip(row, new)]) if row[q] else row
-        for row in basis
-    ]
-    k = bisect(pivots, q)
-    return (
-        tuple(rows[:k]) + (new,) + tuple(rows[k:]),
-        pivots[:k] + (q,) + pivots[k:],
-    )
-
-
 def _echelon(rows: Iterable[Sequence[int]]) -> tuple[_Basis, tuple[int, ...]]:
-    """Canonical primitive echelon basis of the integer rows' span, with its pivots."""
-    basis, pivots = (), ()
-    for row in rows:
-        basis, pivots = _extend_basis(basis, pivots, row)
-    return basis, pivots
+    """Canonical primitive echelon basis of the integer rows' span, with its pivots.
+
+    One fraction-free Gauss-Jordan pass (Bareiss, 1968): at each pivot pv
+    every other row a, above and below, becomes (pv*a - f*b) // prev, where
+    b is the pivot row, f is a's entry in the pivot column and prev the
+    previous pivot; a row with f = 0 becomes pv*a // prev, never
+    (pv // prev)*a, as pv/prev need not be an integer. Every entry stays a
+    minor of the input, so each division is exact. Each pivot row ends as
+    the last pivot times its RREF row and is made primitive once, so the
+    result is the RREF scaled row by row: exactly what echelon_basis returns.
+    """
+    m = list(rows)
+    pivots: list[int] = []
+    rk, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        for i in range(rk, len(m)):
+            if m[i][col]:
+                break
+        else:
+            continue
+        m[rk], m[i] = m[i], m[rk]
+        b = m[rk]
+        pv = b[col]
+        for i, a in enumerate(m):
+            if i != rk:
+                f = a[col]
+                if f:
+                    m[i] = [(pv * x - f * y) // prev for x, y in zip(a, b)]
+                else:
+                    m[i] = [pv * x // prev for x in a]
+        pivots.append(col)
+        prev = pv
+        rk += 1
+        if rk == len(m):
+            break
+    return tuple(map(_primitive, m[:rk])), tuple(pivots)
 
 
 def _normals(basis: _Basis, pivots: tuple[int, ...], width: int) -> list[list[int]]:
@@ -385,10 +380,13 @@ def kernel_basis(matrix: Sequence[Sequence[ScalarLike]]) -> list[tuple[int, ...]
 
 
 def in_span(basis: Sequence[Sequence[ScalarLike]], vector: Sequence[ScalarLike]) -> bool:
-    """Whether vector lies in the row space of basis, whose rows need not be in echelon form."""
-    rows, pivots = _echelon(map(_clear_row_to_ints, basis))
-    # _extend_basis leaves the pivots as they are exactly for a vector in the span
-    return _extend_basis(rows, pivots, _clear_row_to_ints(vector))[1] == pivots
+    """Whether vector lies in the row space of basis, whose rows need not be in echelon form.
+
+    The rows and the vector must share one nonzero width, else ValueError.
+    """
+    m = _int_rows([*_entries(basis, "the rows"), vector])
+    # a vector adds a pivot exactly when it lies outside the span
+    return _echelon(m)[1] == _echelon(m[:-1])[1]
 
 
 def _mat_vec_ints(m: Iterable[Sequence[int]], v: Sequence[int]) -> list[int]:
@@ -500,7 +498,7 @@ def _flats(
             if dim == r - 1 or bounded and not descend(dim, len(flat) + later):
                 continue
             # classes of V/(F + u): clear u's pivot column, then drop it
-            q = _pivot(u)
+            q = next(j for j, x in enumerate(u) if x)
             lead = u[q]
             child: dict[tuple[int, ...], list[int]] = {}
             for w, old in classes.items():

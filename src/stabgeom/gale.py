@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import Iterable
 
 from .errors import DegenerateConfigurationError, RowEliminationError
 from .exactgeom import (
     PointConfiguration,
     ProjectivePoint,
+    ScalarLike,
     _clear_row_to_ints,
     _entries,
     format_scalar,
@@ -46,24 +48,25 @@ class GaleData:
         self,
         source: PointConfiguration,
         target: PointConfiguration,
-        diag: tuple[Fraction, ...],
+        diag: Iterable[ScalarLike],
     ):
         gamma = len(source)
-        d = tuple(parse_scalar(x) for x in _entries(diag, "diag"))
+        values = _entries(diag, "diag")
+        # D times the lcm of its denominators is integral with the same zero
+        # product; all-int values, as gale_transform records them, stay as they are
+        d_int = _clear_row_to_ints(values)
+        d = tuple(map(parse_scalar, values))
         if len(target) != gamma or len(d) != gamma:
             raise ValueError("source, target and diag must have equal length")
         if source.ambient_rank + target.ambient_rank != gamma:
             raise ValueError(
                 "gamma must equal r + s + 2 for projective dimensions r, s"
             )
-        if any(x == 0 for x in d):
+        if not all(d_int):
             raise ValueError("diag entries must be nonzero")
-        # D times the lcm of its denominators is integral with the same zero product
-        d_int = _clear_row_to_ints(d)
-        g_cols = list(zip(*source.rows()))
+        gtd = [list(map(mul, g_col, d_int)) for g_col in zip(*source.rows())]
         for gp_col in zip(*target.rows()):
-            weighted = list(map(mul, d_int, gp_col))
-            if any(sum(map(mul, g_col, weighted)) for g_col in g_cols):
+            if any(sum(map(mul, row, gp_col)) for row in gtd):
                 raise ValueError("G^T D G' = 0 fails for the given data")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -96,18 +99,14 @@ def gale_transform(config: PointConfiguration) -> GaleData:
     big_r = config.ambient_rank
     if gamma < big_r + 2:
         raise ValueError(f"need at least ambient_rank + 2 = {big_r + 2} points, got {gamma}")
-    g_rows = config.rows()
-    kernel = kernel_basis([[row[i] for row in g_rows] for i in range(big_r)])
-    width = len(kernel)
+    kernel = kernel_basis(list(zip(*config.rows())))
     # rank(G) = gamma - dim ker(G^T)
-    if width > gamma - big_r:
+    if len(kernel) > gamma - big_r:
         raise DegenerateConfigurationError(
             "configuration does not span its ambient space"
         )
-    gp_rows: list[list[int]] = [
-        [kernel[j][i] for j in range(width)] for i in range(gamma)
-    ]
-    if any(not any(row) for row in gp_rows):
+    gp_rows = list(zip(*kernel))
+    if not all(map(any, gp_rows)):
         raise RowEliminationError(
             "no kernel basis with all rows nonzero: some gamma - 1 points "
             "lie on a hyperplane"
@@ -119,7 +118,7 @@ def gale_transform(config: PointConfiguration) -> GaleData:
         point = ProjectivePoint._of(row)
         points.append(point)
         # raw row = D_i * canonical row, so D_i restores G^T D G' = 0
-        diag.append(Fraction(next(v // p for v, p in zip(row, point.coords) if p)))
+        diag.append(next(v // p for v, p in zip(row, point.coords) if p))
     target = PointConfiguration(gamma - big_r, points)
     return GaleData(source=config, target=target, diag=tuple(diag))
 

@@ -246,14 +246,18 @@ class SymmetricHypersurfaceModel:
         second = tuple((k, l, d2) for k, f in chain for l, _ in chain if (d2 := _d_dp(f, l)))
         object.__setattr__(self, "_second", second)
 
-    def _powers(self, point: "AmbientPoint | Sequence[ScalarLike]") -> tuple[list, list]:
-        """Columns cols[j][i] = x_i^j for j = 0 .. degree, and the power sums p_0 .. p_degree."""
-        if isinstance(point, AmbientPoint):
+    def _powers(self, point: "ProjectivePoint | Sequence[ScalarLike]") -> tuple[list, list]:
+        """Columns cols[j][i] = x_i^j for j = 0 .. degree, and the power sums p_0 .. p_degree.
+
+        A ``ProjectivePoint`` is read through its coordinates, under the
+        same six-coordinate rule as a list.
+        """
+        if isinstance(point, ProjectivePoint):
             coords = point.coords
         else:
             coords = [c if type(c) is int else parse_scalar(c) for c in _entries(point)]
-            if len(coords) != NVARS:
-                raise ValueError(f"need {NVARS} coordinates")
+        if len(coords) != NVARS:
+            raise ValueError(f"need {NVARS} coordinates")
         cols = [[1] * NVARS, list(coords)]
         for _ in range(self.degree - 1):
             cols.append(list(map(mul, cols[-1], coords)))
@@ -266,13 +270,13 @@ class SymmetricHypersurfaceModel:
             grad = list(map(add, grad, map(mul, cols[k - 1], repeat(k * _at(d, p)))))
         return tuple(grad)
 
-    def evaluate(self, point: "AmbientPoint | Sequence[ScalarLike]"):
+    def evaluate(self, point: "ProjectivePoint | Sequence[ScalarLike]"):
         return _at(self.terms, self._powers(point)[1])
 
-    def gradient(self, point: "AmbientPoint | Sequence[ScalarLike]") -> tuple:
+    def gradient(self, point: "ProjectivePoint | Sequence[ScalarLike]") -> tuple:
         return self._gradient(*self._powers(point))
 
-    def hessian(self, point: "AmbientPoint | Sequence[ScalarLike]") -> list[list]:
+    def hessian(self, point: "ProjectivePoint | Sequence[ScalarLike]") -> list[list]:
         """The 6x6 matrix of second partials, by the chain rule.
 
         Entry (i, j) is the sum over k, l of d2F/dp_k dp_l times

@@ -54,14 +54,19 @@ def _randints(rng: random.Random, low: int, high: int, count: int) -> list[int]:
     return out
 
 
-def random_vector(rng: random.Random, length: int, bound: int = 5) -> list[int]:
-    """A nonzero vector with entries in [-bound, bound]."""
-    _check_int(length, "length", 1)
-    _check_int(bound, "bound", 1)
+def _nonzero_vector(rng: random.Random, length: int, bound: int) -> list[int]:
+    """``random_vector`` without its argument checks: draws until the vector is nonzero."""
     while True:
         v = _randints(rng, -bound, bound, length)
         if any(v):
             return v
+
+
+def random_vector(rng: random.Random, length: int, bound: int = 5) -> list[int]:
+    """A nonzero vector with entries in [-bound, bound]."""
+    _check_int(length, "length", 1)
+    _check_int(bound, "bound", 1)
+    return _nonzero_vector(rng, length, bound)
 
 
 def random_configuration(
@@ -87,7 +92,7 @@ def random_configuration(
             if any(combo):
                 points.append(ProjectivePoint(combo))
                 continue
-        points.append(ProjectivePoint(random_vector(rng, ambient_rank)))
+        points.append(ProjectivePoint(_nonzero_vector(rng, ambient_rank, 5)))
     return PointConfiguration(ambient_rank, points)
 
 
@@ -109,7 +114,7 @@ def random_frame_configuration(
         raise ValueError("need at least rank + 2 points for a frame")
     while True:
         points = [
-            ProjectivePoint(random_vector(rng, ambient_rank, 9))
+            ProjectivePoint(_nonzero_vector(rng, ambient_rank, 9))
             for _ in range(count)
         ]
         config = PointConfiguration(ambient_rank, points)

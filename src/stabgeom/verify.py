@@ -45,11 +45,11 @@ from .modhyp import (
     verify_singular_point,
 )
 from .randconf import (
+    _nonzero_vector,
     random_configuration,
     random_conic_parameters,
     random_frame_configuration,
     random_transform,
-    random_vector,
 )
 
 __all__ = [
@@ -312,8 +312,8 @@ def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> tuple[list[
         failures.append("split labels are not a bijection onto the 10 partitions")
     rng = random.Random(seed * _SEED_STRIDE + 44)
     for _ in range(search_points):
-        v = random_vector(rng, NVARS - 1, 30)
-        # random_vector is nonzero, and the last entry makes the sum zero
+        v = _nonzero_vector(rng, NVARS - 1, 30)
+        # the draw is nonzero, and the last entry makes the sum zero
         p = AmbientPoint._of(v + [-sum(v)])
         if verify_singular_point(model, p) and p.coords not in coords_set:
             failures.append(f"stray singular point {p.coords}")

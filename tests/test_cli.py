@@ -131,13 +131,13 @@ class TestSingleEnumeration:
         import stabgeom.exactgeom
 
         calls = []
-        original = stabgeom.exactgeom._extend_basis
+        original = stabgeom.exactgeom._echelon
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(stabgeom.exactgeom, "_extend_basis", counted)
+        monkeypatch.setattr(stabgeom.exactgeom, "_echelon", counted)
         code, _, _ = cli(argv + ["--input", config_file(TRIPLE_ROWS)])
         assert code == 0
         assert calls == []

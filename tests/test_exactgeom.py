@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,6 +37,7 @@ from stabgeom.exactgeom import (
 )
 
 import stabgeom.gitstab
+from stabgeom.randconf import random_frame_configuration
 
 from helpers import config_of, degenerate_configurations, gauss_rank, rref
 
@@ -75,6 +77,28 @@ def kernel_matrices(draw):
     pool.append([0] * width)
     picks = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), min_size=1, max_size=7))
     return [list(pool[i]) for i in picks]
+
+
+def frame_transpose(rank, count):
+    """G^T of a seed-0 frame configuration: the matrix whose kernel its Gale transform reads."""
+    rows = random_frame_configuration(random.Random(0), rank, count).rows()
+    return [list(col) for col in zip(*rows)]
+
+
+# the views test also runs in_span per row against a Fraction reference, so
+# it takes the (5, 20) matrix, which keeps it well inside the deadline
+FRAME_5_20 = frame_transpose(5, 20)
+FRAME_8_30 = frame_transpose(8, 30)
+BIG = 10**12
+BIG_ENTRIES = [[BIG, 1 - BIG, 7], [BIG - 11, BIG, -BIG], [-1, 2, BIG - 3]]
+# column 1 clears under the first pivot, so the second pivot skips it; the
+# square one needs a row swap there
+CLEARED_COLUMN = [[1, 2, 3, 4], [2, 4, 0, 1], [3, 6, 3, 5]]
+CLEARED_SQUARE = [[1, 2, 3], [2, 4, 5], [3, 7, 1]]
+REPEATS = [[1, 2, 3], [0, 0, 0], [1, 2, 3], [2, 5, 1], [0, 0, 0], [2, 5, 1]]
+# the second pivot is 1 after a first pivot of 2, and the last row is 0 in its
+# column: it becomes 1*a // 2, which (1 // 2)*a would zero
+HALF_STEP = [[2, -1, 0], [1, 0, 0], [0, 0, 2]]
 
 
 def rref_kernel(m):
@@ -400,6 +424,14 @@ class TestEchelonAndKernel:
     @example([[3], ["1/2"]])
     @example([[0, 0, 0], [0, 0, 0]])
     @example([[1, 2, 3], [1, 2, 3], [0, 0, 0], ["2", "4", "6"]])
+    @example(FRAME_8_30)
+    @example(BIG_ENTRIES)
+    @example([row[:2] for row in BIG_ENTRIES])
+    @example([[0, 0, 1, 2], [0, 0, 3, 4]])
+    @example(CLEARED_COLUMN)
+    @example(CLEARED_SQUARE)
+    @example(REPEATS)
+    @example(HALF_STEP)
     def test_kernel_equals_the_rref_reference(self, m):
         assert kernel_basis(m) == rref_kernel(m)
 
@@ -412,6 +444,15 @@ class TestEchelonAndKernel:
     @example([[0]], None)
     @example([[1, 2, 3], [4, 5, 6]], None)
     @example([[1], [2]], None)
+    @example(FRAME_5_20, None)
+    @example(BIG_ENTRIES, None)
+    @example([[-BIG, BIG - 1], [BIG + 1, BIG]], None)
+    @example([[0, 0, 1, 2], [0, 0, 3, 4]], None)
+    @example(CLEARED_COLUMN, None)
+    @example(CLEARED_SQUARE, None)
+    @example(REPEATS, None)
+    @example(HALF_STEP, None)
+    @example([[1, 2, 3], [1, 2, 3], [0, 0, 0]], None)
     def test_echelon_views_equal_the_rref_reference(self, m, data):
         rows, pivots = rref(m)
         assert reduced_row_echelon(m) == (rows, pivots)
@@ -438,6 +479,17 @@ class TestEchelonAndKernel:
             inverse = _inverse_ints(ProjectiveTransform(m).matrix)
             assert ProjectiveTransform(inverse) == ProjectiveTransform(expected)
 
+    def test_inverse_round_trip_at_eight(self):
+        # the frame matrix of the seed-0 (8, 30) configuration: its first 8 points as columns
+        m = [row[:8] for row in FRAME_8_30]
+        inverse = _inverse_ints(m)
+        product = [[sum(map(mul, row, col)) for col in zip(*inverse)] for row in m]
+        scale = product[0][0]
+        assert scale != 0
+        assert product == [[scale * (i == j) for j in range(8)] for i in range(8)]
+        assert ProjectiveTransform(inverse) == ProjectiveTransform(rref_inverse(m))
+        assert ProjectiveTransform(_inverse_ints(inverse)) == ProjectiveTransform(m)
+
     def test_kernel_of_full_column_rank_is_empty(self):
         assert kernel_basis([[1, 2], [3, 4], [5, 6]]) == []
         assert kernel_basis([["1/2"]]) == []
@@ -451,6 +503,16 @@ class TestEchelonAndKernel:
         # (0, 1) = (1, 1) - (1, 0), though neither row has its pivot in column 1
         assert in_span([[1, 1], [1, 0]], [0, 1])
         assert not in_span([[1, 1], [2, 2]], [0, 1])
+
+    @pytest.mark.parametrize(
+        "basis, vector",
+        [([[1, 2]], [1, 2, 3]), ([[1, 2]], [1]), ([[1, 2], [1]], [1, 2]), ([[1], [1, 2]], [0, 1])],
+    )
+    def test_in_span_rejects_a_width_mismatch(self, basis, vector):
+        # a shorter row is not read against a longer one's first entries: (1, 2, 3)
+        # is not in the span of (1, 2), nor (1) in it
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            in_span(basis, vector)
 
     def test_in_span_fraction_route_agrees_with_int_route(self):
         basis = echelon_basis([[2, 0, 4], [0, 3, 9]])

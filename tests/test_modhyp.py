@@ -337,6 +337,31 @@ class TestAmbientPointIsAProjectivePoint:
         assert t.apply(AmbientPoint(self.V)) == t.apply(ProjectivePoint(self.V))
 
 
+class TestModelsReadAnyProjectivePoint:
+    """A model reads a ``ProjectivePoint`` through its coordinates, as it reads a list."""
+
+    V = [1, -1, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("model", [segre_cubic(), igusa_quartic()], ids=["segre", "igusa"])
+    @pytest.mark.parametrize("coords", [V, [2, 3, -1, 0, -5, 1]])
+    def test_value_gradient_and_hessian_match_the_list_and_the_twin(self, model, coords):
+        point = ProjectivePoint(coords)
+        for twin in (list(point.coords), AmbientPoint(coords)):
+            assert model.evaluate(point) == model.evaluate(twin)
+            assert model.gradient(point) == model.gradient(twin)
+            assert model.hessian(point) == model.hessian(twin)
+
+    def test_a_point_off_the_hyperplane_is_read_like_its_list(self):
+        point = ProjectivePoint([1, 1, 0, 0, 0, 0])
+        assert segre_cubic().evaluate(point) == segre_cubic().evaluate([1, 1, 0, 0, 0, 0]) == 2
+
+    @pytest.mark.parametrize("method", ["evaluate", "gradient", "hessian"])
+    def test_three_coordinates_are_refused_as_a_list_is(self, method):
+        for point in (ProjectivePoint([1, -1, 0]), [1, -1, 0]):
+            with pytest.raises(ValueError, match="^need 6 coordinates$"):
+                getattr(segre_cubic(), method)(point)
+
+
 class TestSegreNodes:
     def test_ten_nodes_singular_and_nodal(self):
         nodes = segre_nodes()

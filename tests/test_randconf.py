@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stabgeom import SchemaError
 from stabgeom.randconf import (
+    _nonzero_vector,
     _randints,
     random_configuration,
     random_frame_configuration,
@@ -50,6 +51,32 @@ class TestRandints:
             theirs.randrange(bound) for _ in range(count)
         ]
         assert ours.random() == theirs.random()
+
+
+class TestNonzeroVector:
+    """The ungated draw behind ``random_vector`` and the Segre stray search."""
+
+    @given(st.integers(), st.integers(1, 8), st.integers(1, 40))
+    @example(seed=0, length=1, bound=1)
+    @settings(max_examples=100)
+    def test_same_stream_as_random_vector(self, seed, length, bound):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            v = _nonzero_vector(ours, length, bound)
+            assert v == random_vector(theirs, length, bound) and any(v)
+            assert all(-bound <= x <= bound for x in v)
+        assert ours.random() == theirs.random()
+
+    def test_the_stray_search_gates_no_argument(self, monkeypatch):
+        import stabgeom.randconf
+        from stabgeom.verify import check_segre_nodes
+
+        def forbidden(*args):
+            raise AssertionError("the stray search draws with constant arguments")
+
+        monkeypatch.setattr(stabgeom.randconf, "_check_int", forbidden)
+        monkeypatch.setattr(stabgeom.randconf, "random_vector", forbidden)
+        assert check_segre_nodes(50, 3).passed
 
 
 @contextmanager
