@@ -97,12 +97,22 @@ def _int_arg(text: str) -> int:
 
 
 def _load_config(path: str) -> PointConfiguration:
+    """The configuration in a JSON file, or on stdin for ``-``.
+
+    A file is read as bytes once and decoded as strict UTF-8, with text
+    mode's newline rule (``\r\n``, then ``\r``, become ``\n``), so the
+    value and every error, a BOM's and a decode error's included, are those
+    of ``json.load`` on the file opened as UTF-8 text.
+    """
     try:
         if path == "-":
             data = json.load(sys.stdin)
         else:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+            with open(path, "rb") as fh:
+                text = fh.read().decode("utf-8")
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            data = json.loads(text)
     except RecursionError:
         # the decoder recurses once per nesting level
         raise SchemaError("configuration JSON is nested too deeply") from None
@@ -237,7 +247,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``stab`` parser, and the map from each command name to its subparser."""
     parser = _Parser(
         prog="stab",
         description="Exact stability, Gale, and hypersurface computations "
@@ -309,16 +320,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_arg, default=0)
     p.set_defaults(func=_cmd_verify_all)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, with one parse per command level.
+
+    The top-level parser hands all of argv after a command name to that
+    command's subparser, so such an argv is parsed by the subparser alone:
+    the namespace lacks only the unread ``command``, and every error and
+    help text is the same. Any other argv goes to the top-level parser.
+    """
+    if argv and type(argv[0]) is str and argv[0] in _COMMANDS:
+        return _COMMANDS[argv[0]].parse_args(argv[1:])
+    return _PARSER.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        # StabgeomError and json.JSONDecodeError are both ValueErrors
+    except (ValueError, OSError, MemoryError) as exc:
+        # StabgeomError and json.JSONDecodeError are both ValueErrors; an
+        # exhausted resource is an input the program cannot serve, not a verdict
         return _fail(exc)

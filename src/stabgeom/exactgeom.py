@@ -32,7 +32,8 @@ from .errors import FrameDegenerateError, SchemaError
 
 ScalarLike = Union[int, str, Fraction]
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
+# the numerator and the denominator, if any, each read by int
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 # an integer as the CLI options and STAB_MAX_SUBSET_SIZE read it: ASCII digits only
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
@@ -55,10 +56,11 @@ def parse_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.fullmatch(text):
+        match = _RATIONAL_RE.fullmatch(value.strip())
+        if match is None:
             raise SchemaError(f"not a rational literal: {_shown(value)}")
-        return Fraction(text)
+        num, den = match.groups()
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     raise SchemaError(f"not a rational: {_shown(value)}")
 
 
@@ -120,10 +122,12 @@ class ProjectivePoint:
 
     def __init__(self, coords: Iterable[ScalarLike]):
         ints = _clear_row_to_ints(coords)
-        if not ints:
-            raise ValueError("empty coordinate vector")
         if not any(ints):
-            raise ValueError("zero vector does not define a projective point")
+            raise ValueError(
+                "zero vector does not define a projective point"
+                if ints
+                else "empty coordinate vector"
+            )
         object.__setattr__(self, "coords", _primitive(ints))
 
     @classmethod
@@ -159,9 +163,9 @@ class PointConfiguration:
         for p in pts:
             if not isinstance(p, ProjectivePoint):
                 raise SchemaError("points must be ProjectivePoint instances")
-            if len(p) != ambient_rank:
+            if len(p.coords) != ambient_rank:
                 raise ValueError(
-                    f"point has {len(p)} coordinates, ambient rank is {ambient_rank}"
+                    f"point has {len(p.coords)} coordinates, ambient rank is {ambient_rank}"
                 )
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "points", pts)
@@ -233,11 +237,11 @@ def _entries(items: Iterable, what: str = "a coordinate vector") -> list:
 def _clear_row_to_ints(row: Iterable[ScalarLike]) -> list[int]:
     """The row scaled by the lcm of its denominators, as a fresh integer list.
 
-    All-int rows skip the Fractions (``type(x) is int`` keeps bool out, so
-    parse_scalar still rejects it).
+    All-int rows skip the Fractions, tested in one pass over the types
+    (which keeps bool out, so parse_scalar still rejects it).
     """
     values = _entries(row)
-    if all(type(x) is int for x in values):
+    if set(map(type, values)) <= {int}:
         return values
     fracs = [parse_scalar(x) for x in values]
     scale = math.lcm(*(c.denominator for c in fracs))

@@ -87,13 +87,16 @@ def _verdict(best: _Flat | None, g: Fraction) -> StabilityVerdict:
     if best is None:
         return StabilityVerdict(StabilityClass.STABLE, None, None)
     dim, members = best
-    margin = len(members) - g * dim
-    if margin < 0:
+    q = g.denominator
+    # q times the margin, for g = p/q, so the Fraction is built once
+    scaled = q * len(members) - g.numerator * dim
+    margin = Fraction(scaled, q)
+    if scaled < 0:
         return StabilityVerdict(StabilityClass.STABLE, None, margin)
     witness = Witness(indices=members, span_dim=dim, size=len(members))
     cls = (
         StabilityClass.UNSTABLE
-        if margin > 0
+        if scaled > 0
         else StabilityClass.STRICTLY_SEMISTABLE
     )
     return StabilityVerdict(cls, witness, margin)

@@ -186,6 +186,126 @@ class TestParserBuiltOnce:
         assert calls == []
 
 
+# argvs for the dispatch: every command, valid and refused, help, abbreviated
+# and "="-joined options, "--", unknown names, repeated options and first
+# items that are not command names
+DISPATCH_CORPUS = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["--"],
+    ["--", "incidence"],
+    ["no-such-command"],
+    ["GALE"],
+    ["gal", "--input", "-"],
+    [""],
+    ["-x"],
+    ["--g", "2", "git-classify"],
+    ["git-classify", "--g", "3/2", "--input", "f.json"],
+    ["git-classify", "--g=2", "--input=-"],
+    ["git-classify", "--g", "2", "--inp", "-"],
+    ["git-classify", "--g", "2", "--g", "3", "--input", "-"],
+    ["git-classify", "--input", "-"],
+    ["git-classify", "--g"],
+    ["git-classify", "--", "--g", "2", "--input", "-"],
+    ["git-classify", "--g", "2", "--input", "-", "extra"],
+    ["git-classify", "--help"],
+    ["git-classify", "-h", "--g"],
+    ["git-classify", "--he"],
+    ["critical-values", "-r", "2", "-d", "4", "-k", "2"],
+    ["critical-values", "-r", "2", "-d", "4", "-k", "2", "--degree-bound", "9", "--section-bound", "3"],
+    ["critical-values", "-r", "2", "-d", "4", "-k", "2", "--de", "9"],
+    ["critical-values", "-r", "two", "-d", "4", "-k", "2"],
+    ["critical-values", "-r2", "-d4", "-k2"],
+    ["critical-values", "-r", "-1", "-d", "4", "-k", "2"],
+    ["alpha-check", "--g", "2", "--alpha", "1", "--input", "-"],
+    ["alpha-check", "--g", "2", "--al", "1", "--input", "-"],
+    ["alpha-check", "--g", "2", "--input", "-"],
+    ["equivalence", "--g", "2", "--input", "-"],
+    ["equivalence", "--g", "2"],
+    ["destable-example", "--genus", "3"],
+    ["destable-example", "--genus", "3", "--lambdas", "1,2,3,4"],
+    ["destable-example", "--genus", "\u0664"],
+    ["destable-example"],
+    ["gale", "--input", "-"],
+    ["gale", "--input", "-", "--seed", "3"],
+    ["gale", "-h"],
+    ["hypersurface"],
+    ["hypersurface", "--help"],
+    ["hypersurface", "verify"],
+    ["hypersurface", "verify", "-h"],
+    ["hypersurface", "verify", "segre", "--samples", "5"],
+    ["hypersurface", "verify", "igusa"],
+    ["hypersurface", "verify", "duality", "--samples", "5", "--seed", "1"],
+    ["hypersurface", "verify", "duality", "--sa", "5", "--seed", "1", "--seed", "2"],
+    ["hypersurface", "verify", "cubic"],
+    ["hypersurface", "verify", "--", "segre"],
+    ["hypersurface", "bogus"],
+    ["incidence"],
+    ["incidence", "--"],
+    ["incidence", "extra"],
+    ["verify-all", "--samples", "0", "--seed", "4"],
+    ["verify-all", "--s", "3"],
+    ["verify-all", "--samples"],
+    ["verify-all", "--seed", "1", "--seed", "2"],
+    [None],
+    [1, "incidence"],
+    [["incidence"]],
+    ["gale", "--input", 5],
+]
+
+
+def dispatch_outcome(parse, argv, capsys):
+    """The namespace without ``command``, or the error or exit, with what was printed."""
+    try:
+        namespace = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    except Exception as exc:  # UsageError, or a TypeError on an item that is not a str
+        result = (type(exc), str(exc))
+    else:
+        result = {k: v for k, v in vars(namespace).items() if k != "command"}
+    return result, capsys.readouterr()
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=repr)
+    def test_same_outcome_as_the_top_level_parser(self, capsys, argv):
+        import stabgeom.cli
+
+        routed = dispatch_outcome(stabgeom.cli._parse, list(argv), capsys)
+        assert routed == dispatch_outcome(stabgeom.cli._PARSER.parse_args, list(argv), capsys)
+
+    @pytest.mark.parametrize(
+        "argv, levels",
+        [
+            (["git-classify", "--g", "3/2", "--input", "-"], 1),
+            (["hypersurface", "verify", "igusa"], 2),
+        ],
+    )
+    def test_main_parses_once_per_parser_level(self, cli, monkeypatch, argv, levels):
+        import stabgeom.cli
+
+        calls = []
+        original = stabgeom.cli._Parser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(stabgeom.cli._Parser, "parse_known_args", counted)
+        code, _, _ = cli(argv, stdin=json.dumps({"ambient_rank": 1, "points": [["1"]]}))
+        assert code == 0
+        assert len(calls) == levels
+        calls.clear()
+        stabgeom.cli._PARSER.parse_args(argv)  # the top-level parser adds a level
+        assert len(calls) == levels + 1
+
+    def test_a_tuple_argv_is_read(self, cli):
+        code, out, _ = cli(("critical-values", "-r", "2", "-d", "4", "-k", "2"))
+        assert (code, payload(out)) == (0, {"values": ["1", "2"]})
+
+
 class TestCriticalValues:
     def test_reference_example_bytes(self, cli):
         code, out, _ = cli(["critical-values", "-r", "2", "-d", "4", "-k", "2"])
@@ -1011,6 +1131,88 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
+
+
+def text_mode_load(path):
+    """The configuration in a file as the text-mode reader loads it (the reference)."""
+    with open(path, encoding="utf-8") as fh:
+        return PointConfiguration.from_json_dict(json.load(fh))
+
+
+_PLAIN = '{"ambient_rank": 2,\n"points": [["1", "0"], ["1", "0"],\n["0", "1"], ["1", "1"]]}\n'
+
+
+class TestFileRead:
+    """A file is read once as bytes; value, bytes out and exit code are text mode's."""
+
+    @pytest.mark.parametrize(
+        "data, code, stdout, stderr",
+        [
+            pytest.param(
+                _PLAIN.replace("\n", "\r\n").encode(),
+                0,
+                '{\n  "class": "Unstable",\n  "witness": {\n    "indices": [\n      0,\n'
+                '      1\n    ],\n    "span_dim": 1,\n    "size": 2\n  },\n  "margin": "1/2"\n}\n',
+                "",
+                id="crlf",
+            ),
+            pytest.param(
+                _PLAIN.replace("\n", "\r").encode(),
+                0,
+                '{\n  "class": "Unstable",\n  "witness": {\n    "indices": [\n      0,\n'
+                '      1\n    ],\n    "span_dim": 1,\n    "size": 2\n  },\n  "margin": "1/2"\n}\n',
+                "",
+                id="lone-cr",
+            ),
+            pytest.param(
+                b"\xef\xbb\xbf" + _PLAIN.encode(),
+                2,
+                "",
+                '{\n  "error": {\n    "type": "JSONDecodeError",\n    "message": '
+                '"Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"\n  }\n}\n',
+                id="bom",
+            ),
+            pytest.param(
+                _PLAIN.replace("\n", "\r\n").encode().replace(b'"0"', b'"\xff"', 1),
+                2,
+                "",
+                '{\n  "error": {\n    "type": "UnicodeDecodeError",\n    "message": '
+                '"\'utf-8\' codec can\'t decode byte 0xff in position 39: invalid start byte"\n  }\n}\n',
+                id="invalid-utf-8",
+            ),
+            pytest.param(
+                _PLAIN.replace("\n", "\r\n").replace('["0", "1"]', '["0" "1"]').encode(),
+                2,
+                "",
+                '{\n  "error": {\n    "type": "JSONDecodeError",\n    "message": '
+                '"Expecting \',\' delimiter: line 3 column 6 (char 60)"\n  }\n}\n',
+                id="malformed-crlf",
+            ),
+        ],
+    )
+    def test_bytes_and_exit_code(self, cli, tmp_path, monkeypatch, data, code, stdout, stderr):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        argv = ["git-classify", "--g", "3/2", "--input", str(path)]
+        assert cli(argv) == (code, stdout, stderr)
+        monkeypatch.setattr("stabgeom.cli._load_config", text_mode_load)
+        assert cli(argv) == (code, stdout, stderr)
+
+    def test_a_directory_is_an_os_error(self, cli, tmp_path):
+        code, out, err = cli(["gale", "--input", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert payload(err)["error"]["type"] == "IsADirectoryError"
+
+
+class TestExhaustedResource:
+    def test_memory_error_exits_two_with_typed_json(self, cli, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("stabgeom.cli.destabilizing_example_config", exhausted)
+        code, out, err = cli(["destable-example", "--genus", "3"])
+        assert (code, out) == (2, "")
+        assert err == '{\n  "error": {\n    "type": "MemoryError",\n    "message": ""\n  }\n}\n'
 
 
 class TestModuleEntryPoint:

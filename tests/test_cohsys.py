@@ -27,6 +27,7 @@ from stabgeom.gitstab import _worst_flat
 from helpers import (
     config_of,
     degenerate_configurations,
+    gauss_rank,
     scan_walls,
     standard_six_config,
     triple_point_config,
@@ -100,6 +101,33 @@ class TestThreshold:
             stabilization_threshold(2, 0)
 
 
+def d_max_by_subsets(config):
+    """[d_max(0), ..., d_max(r - 1)]: the most points of any subset of rank at most s.
+
+    Rank is ``gauss_rank`` alone. A subset of full rank only grows into
+    subsets of full rank, so the search stops there; ranks are cached by the
+    set of distinct rows, since repeated points are common.
+    """
+    rows = [tuple(row) for row in config.rows()]
+    r, n = config.ambient_rank, len(rows)
+    most = [0] * r
+    ranks = {}
+
+    def extend(members, start):
+        for i in range(start, n):
+            grown = members + [i]
+            key = frozenset(rows[j] for j in grown)
+            if key not in ranks:
+                ranks[key] = gauss_rank(list(key))
+            s = ranks[key]
+            if s < r:
+                most[s] = max(most[s], len(grown))
+                extend(grown, i + 1)
+
+    extend([], 0)
+    return [max(most[: s + 1]) for s in range(r)]
+
+
 class TestSubsystemTypes:
     def test_triple_point_types(self):
         types = subsystem_types_from_config(triple_point_config())
@@ -111,6 +139,22 @@ class TestSubsystemTypes:
 
     def test_rank_one_config_has_no_types(self):
         assert subsystem_types_from_config(config_of((1,), (2,))) == []
+
+    # r = 5, g = 2: d_max(3) = 4, which a prefix-maximum rule that prunes one
+    # dimension too far (most[: dim + 3]) reads as 3
+    TEN_IN_P4 = config_of(
+        (6, 1, -2, -2, 0), (6, 1, -1, 0, 0), (1, 0, 0, -4, -4), (3, 4, 6, -2, 0),
+        (8, -1, -2, -3, -1), (6, 0, 1, 0, 0), (0, 1, -4, 0, 0), (0, 0, 0, 0, 1),
+        (4, 0, 0, 0, -3), (1, 0, 0, 2, 4),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(degenerate_configurations(max_rank=6, max_points=12))
+    @example(TEN_IN_P4)
+    def test_types_equal_the_most_points_of_any_subset(self, config):
+        assert [(t.r, t.d, t.k) for t in subsystem_types_from_config(config)] == [
+            (s, d, s) for s, d in enumerate(d_max_by_subsets(config)[1:], 1)
+        ]
 
 
 def alpha_check(capsys, config_file, config, alpha, g=2):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -131,7 +132,52 @@ def rref_inverse(m):
     return [row[n:] for row in rows]
 
 
+def parse_scalar_by_fraction(value):
+    """A string scalar read as before integer-speed parsing: the pattern, then Fraction(text)."""
+    text = value.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?", text):
+        raise SchemaError(f"not a rational literal: {_shown(value)}")
+    return Fraction(text)
+
+
+def parse_outcome(parse, value):
+    """The value a parse returns, or the type and message of the error it raises."""
+    try:
+        return parse(value)
+    except ValueError as exc:  # SchemaError, or CPython's limit on int digits
+        return type(exc), str(exc)
+
+
+@st.composite
+def scalar_texts(draw):
+    """Strings near the rational pattern: padded, signed, "p/q", non-ASCII or `_`-separated digits."""
+    ascii_digits = st.text(st.sampled_from("0123456789"), min_size=1, max_size=25)
+    # Arabic-Indic, extended Arabic-Indic, Devanagari and fullwidth digits
+    any_digits = st.text(st.sampled_from("0123456789\u0661\u0662\u06f3\u0966\uff11"), min_size=1, max_size=6)
+    part = st.one_of(ascii_digits, any_digits, st.builds("{}_{}".format, ascii_digits, ascii_digits))
+    text = draw(part)
+    if draw(st.booleans()):
+        text += "/" + draw(part)
+    pad = st.text(st.sampled_from(" \t\n\u2003\u00a0"), max_size=2)
+    return draw(pad) + draw(st.sampled_from(["", "+", "-", "+-"])) + text + draw(pad)
+
+
 class TestScalars:
+    @settings(max_examples=300)
+    @given(st.one_of(scalar_texts(), st.text(st.sampled_from("0123456789+-/ ._eEx\u0662"), max_size=12)))
+    @example("\u0661\u0662")
+    @example("1_000")
+    @example(" -12/18 ")
+    @example("+0/7")
+    @example("007/010")
+    @example("-" + "7" * 4301)
+    @example("1/" + "7" * 4301)
+    def test_string_route_equals_the_fraction_route(self, text):
+        # same value, or the same error type and message
+        fast = parse_outcome(parse_scalar, text)
+        assert fast == parse_outcome(parse_scalar_by_fraction, text)
+        assert type(fast) is Fraction or fast[0] in (SchemaError, ValueError)
+
     def test_parse_accepts_int_fraction_and_strings(self):
         assert parse_scalar(7) == 7
         assert parse_scalar(Fraction(3, 4)) == Fraction(3, 4)

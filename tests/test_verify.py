@@ -194,6 +194,12 @@ def _misclassified(config, g):
     return replace(verdict, classification=other)
 
 
+def _margin_shifted(config, g):
+    # the class and the witness stay; only the margin is wrong
+    verdict = oracle_classify(config, g)
+    return replace(verdict, margin=verdict.margin - 1)
+
+
 def _disagreeing(config, g):
     report = equivalence_check(config, g)
     return replace(report, alpha_semistable=not report.alpha_semistable)
@@ -426,6 +432,13 @@ _FAULTS = [
         "three_three_splits",
         lambda: three_three_splits()[:9],
         "split count 9",
+    ),
+    # the class is kept, so a check that compared only the classes would pass
+    (
+        lambda: check_git_oracle(1),
+        "classify",
+        _margin_shifted,
+        "case 0: classify=Stable oracle=Stable",
     ),
 ]
 
