@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
@@ -48,8 +49,9 @@ def _dumps(value, pad: str = "\n") -> str:
     bools and None. The stdlib indents only through its pure-Python
     encoder, so this writer nests the containers itself and quotes strings
     with the C function the stdlib uses for ``ensure_ascii``. A list of
-    ints, or of strings, is written in one join, any other list item by
-    item (``_quote`` raises TypeError on an item that is not a string).
+    ints, or of strings, is written in one join, a list of nonempty lists
+    of strings in one join per row, any other list item by item
+    (``_quote`` raises TypeError on an item that is not a string).
     ``pad`` is the newline and indent of the enclosing level.
     """
     if isinstance(value, str):
@@ -62,12 +64,28 @@ def _dumps(value, pad: str = "\n") -> str:
         if isinstance(value, dict):
             body = sep.join([_quote(k) + ": " + _dumps(v, inner) for k, v in value.items()])
             return "{" + inner + body + pad + "}"
-        if type(value[0]) is int and set(map(type, value)) == {int}:
+        head = type(value[0])
+        if head is int and set(map(type, value)) == {int}:
             body = sep.join(map(int.__repr__, value))
         else:
             try:
-                # a list of strings, such as a row of coordinates, in one pass
-                body = sep.join(map(_quote, value))
+                if head is list and set(map(type, value)) == {list} and all(value):
+                    # nonempty lists of strings, such as a coordinate matrix,
+                    # one join per row; "".join raises TypeError on a non-string
+                    row_pad = inner + "  "
+                    text = "".join(map("".join, value))
+                    if len(_quote(text)) == len(text) + 2:
+                        # no character needs an escape, so each string is its
+                        # own text between quotes
+                        rows = map(('",' + row_pad + '"').join, value)
+                        start, end = "[" + row_pad + '"', '"' + inner + "]"
+                    else:
+                        rows = map(("," + row_pad).join, map(partial(map, _quote), value))
+                        start, end = "[" + row_pad, inner + "]"
+                    body = start + (end + sep + start).join(rows) + end
+                else:
+                    # a list of strings, such as a row of coordinates, in one pass
+                    body = sep.join(map(_quote, value))
             except TypeError:
                 body = sep.join([_dumps(v, inner) for v in value])
         return "[" + inner + body + pad + "]"

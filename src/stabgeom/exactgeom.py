@@ -36,6 +36,8 @@ ScalarLike = Union[int, str, Fraction]
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 # an integer as the CLI options and STAB_MAX_SUBSET_SIZE read it: ASCII digits only
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+# the type set of a row of exact ints (bool is a type of its own)
+_INT = frozenset({int})
 
 
 def _shown(value: object) -> str:
@@ -114,8 +116,10 @@ class ProjectivePoint:
     Canonical form: coprime integer coordinates whose first nonzero entry
     is positive; two equal points therefore compare equal syntactically.
     The constructor validates its input; ``_of`` only canonicalizes, for
-    nonzero int vectors the program built itself that pass every check of
-    the class (a subclass such as ``modhyp.AmbientPoint`` adds its own).
+    nonzero int vectors that the program built itself, or that
+    ``PointConfiguration.from_json_dict`` has type-tested, and that pass
+    every check of the class (a subclass such as ``modhyp.AmbientPoint``
+    adds its own).
     """
 
     coords: tuple[int, ...]
@@ -171,6 +175,14 @@ class PointConfiguration:
         object.__setattr__(self, "points", pts)
 
     @classmethod
+    def _of(cls, ambient_rank: int, points: list[ProjectivePoint]) -> "PointConfiguration":
+        """Nonempty points of ``ambient_rank`` coordinates as a configuration, unchecked."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "ambient_rank", ambient_rank)
+        object.__setattr__(config, "points", tuple(points))
+        return config
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Iterable[ScalarLike]]) -> "PointConfiguration":
         points = [ProjectivePoint(row) for row in _entries(rows, "the rows")]
         if not points:
@@ -193,13 +205,17 @@ class PointConfiguration:
             raise SchemaError("points must be a nonempty list")
         parsed = []
         for row in points:
+            # a nonzero row of exact ints, the common case, needs no other check
+            if type(row) is list and len(row) == rank and set(map(type, row)) == _INT and any(row):
+                parsed.append(ProjectivePoint._of(row))
+                continue
             if not isinstance(row, list) or len(row) != rank:
                 raise SchemaError(f"each point needs exactly {rank} coordinates")
             try:
                 parsed.append(ProjectivePoint(row))
             except (SchemaError, ValueError) as exc:
                 raise SchemaError(f"bad point {_shown(row)}: {exc}") from exc
-        return cls(rank, parsed)
+        return cls._of(rank, parsed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -238,11 +254,27 @@ def _clear_row_to_ints(row: Iterable[ScalarLike]) -> list[int]:
     """The row scaled by the lcm of its denominators, as a fresh integer list.
 
     All-int rows skip the Fractions, tested in one pass over the types
-    (which keeps bool out, so parse_scalar still rejects it).
+    (which keeps bool out, so parse_scalar still rejects it). A row of
+    ints and integer strings reads each string with ``int``, as
+    ``parse_scalar`` does; the first entry of any other kind (a "p/q"
+    string, a Fraction, a value to refuse) sends the whole row through
+    ``parse_scalar`` and the lcm, so every value and error is that route's.
     """
     values = _entries(row)
-    if set(map(type, values)) <= {int}:
+    if set(map(type, values)) <= _INT:
         return values
+    ints = []
+    for x in values:
+        if type(x) is str:
+            match = _RATIONAL_RE.fullmatch(x.strip())
+            if match is None or match[2]:
+                break
+            x = int(match[1])
+        elif type(x) is not int:
+            break
+        ints.append(x)
+    else:
+        return ints
     fracs = [parse_scalar(x) for x in values]
     scale = math.lcm(*(c.denominator for c in fracs))
     return [c.numerator * (scale // c.denominator) for c in fracs]
@@ -340,8 +372,8 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[_Basis, tuple[int, ...]]:
     return tuple(map(_primitive, m[:rk])), tuple(pivots)
 
 
-def _normals(basis: _Basis, pivots: tuple[int, ...], width: int) -> list[list[int]]:
-    """Integer basis of the orthogonal complement, one vector per free column."""
+def _normals(basis: _Basis, pivots: tuple[int, ...], width: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the orthogonal complement, one vector per free column."""
     scale = math.lcm(*(row[p] for row, p in zip(basis, pivots)))
     out = []
     for f in range(width):
@@ -351,7 +383,7 @@ def _normals(basis: _Basis, pivots: tuple[int, ...], width: int) -> list[list[in
         normal[f] = scale
         for row, p in zip(basis, pivots):
             normal[p] = -row[f] * (scale // row[p])
-        out.append(normal)
+        out.append(_primitive(normal))
     return out
 
 
@@ -380,7 +412,7 @@ def kernel_basis(matrix: Sequence[Sequence[ScalarLike]]) -> list[tuple[int, ...]
     """
     rows = _int_rows(matrix)
     basis, pivots = _echelon(rows)
-    return [_primitive(n) for n in _normals(basis, pivots, len(rows[0]))]
+    return _normals(basis, pivots, len(rows[0]))
 
 
 def in_span(basis: Sequence[Sequence[ScalarLike]], vector: Sequence[ScalarLike]) -> bool:

@@ -13,17 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product, starmap
 from operator import mul
 from typing import Iterable
 
 from .errors import DegenerateConfigurationError, RowEliminationError
 from .exactgeom import (
+    _INT,
     PointConfiguration,
     ProjectivePoint,
     ScalarLike,
     _clear_row_to_ints,
     _entries,
-    format_scalar,
     kernel_basis,
     parse_scalar,
     projectively_equivalent,
@@ -52,10 +54,13 @@ class GaleData:
     ):
         gamma = len(source)
         values = _entries(diag, "diag")
-        # D times the lcm of its denominators is integral with the same zero
-        # product; all-int values, as gale_transform records them, stay as they are
-        d_int = _clear_row_to_ints(values)
-        d = tuple(map(parse_scalar, values))
+        if set(map(type, values)) <= _INT:
+            # ints, as gale_transform records D, need no parse and no clearing
+            d_int, d = values, tuple(map(Fraction, values))
+        else:
+            # D times the lcm of its denominators is integral with the same zero product
+            d_int = _clear_row_to_ints(values)
+            d = tuple(map(parse_scalar, values))
         if len(target) != gamma or len(d) != gamma:
             raise ValueError("source, target and diag must have equal length")
         if source.ambient_rank + target.ambient_rank != gamma:
@@ -65,9 +70,10 @@ class GaleData:
         if not all(d_int):
             raise ValueError("diag entries must be nonzero")
         gtd = [list(map(mul, g_col, d_int)) for g_col in zip(*source.rows())]
-        for gp_col in zip(*target.rows()):
-            if any(sum(map(mul, row, gp_col)) for row in gtd):
-                raise ValueError("G^T D G' = 0 fails for the given data")
+        # entry (a, b) is the dot product of row a of G^T D with column b of G'
+        products = starmap(partial(map, mul), product(gtd, zip(*target.rows())))
+        if any(map(sum, products)):
+            raise ValueError("G^T D G' = 0 fails for the given data")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "diag", d)
@@ -83,7 +89,10 @@ class GaleData:
         return {
             "source": self.source.to_json_dict(),
             "target": self.target.to_json_dict(),
-            "diag": [format_scalar(x) for x in self.diag],
+            "diag": [
+                f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+                for q in self.diag
+            ],
         }
 
 
@@ -111,16 +120,16 @@ def gale_transform(config: PointConfiguration) -> GaleData:
             "no kernel basis with all rows nonzero: some gamma - 1 points "
             "lie on a hyperplane"
         )
-    points = []
-    diag = []
-    for row in gp_rows:
-        # zero rows were refused above
-        point = ProjectivePoint._of(row)
-        points.append(point)
-        # raw row = D_i * canonical row, so D_i restores G^T D G' = 0
-        diag.append(next(v // p for v, p in zip(row, point.coords) if p))
-    target = PointConfiguration(gamma - big_r, points)
-    return GaleData(source=config, target=target, diag=tuple(diag))
+    # zero rows were refused above
+    points = list(map(ProjectivePoint._of, gp_rows))
+    # raw row = D_i * canonical row, so D_i is the quotient of their first
+    # nonzero entries, and it restores G^T D G' = 0
+    diag = [
+        next(filter(None, row)) // next(filter(None, point.coords))
+        for row, point in zip(gp_rows, points)
+    ]
+    target = PointConfiguration._of(gamma - big_r, points)
+    return GaleData(source=config, target=target, diag=diag)
 
 
 def is_self_associated(config: PointConfiguration) -> bool:

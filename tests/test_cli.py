@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabgeom import (
     EquivalenceReport,
@@ -18,7 +19,7 @@ from stabgeom import (
     classify,
     conic_parameter_points,
 )
-from stabgeom.cli import main
+from stabgeom.cli import _dumps, main
 from stabgeom.modhyp import DualityReport
 from stabgeom.randconf import random_configuration
 from stabgeom.verify import CheckResult, VerificationReport
@@ -558,6 +559,34 @@ class TestGaleGoldenBytes:
         assert payload(err) == {
             "error": {"type": "UsageError", "message": "unrecognized arguments: --seed 7"}
         }
+
+
+class TestWriterRows:
+    """A list of nonempty lists of strings takes one join per row; anything else item by item."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [["1", "-2/3"], ["4", "5"]],
+            {"points": [["1", "0"], ["0", "1"]], "diag": ["1", "-1"]},
+            [["1"], []],
+            [["a"], "b"],
+            [["a"], {"k": "v"}],
+            [["1"], ("2",)],
+            [["a", 1], ["b"]],
+            [["a"], ["b", ["c"]]],
+            [["q\"\\\n\u0662"], ["\ud800", "\x7f"]],
+        ],
+        ids=["matrix", "payload", "empty-row", "string-item", "dict-item", "tuple-row",
+             "int-in-row", "list-in-row", "escaped"],
+    )
+    def test_explicit_rows(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.text(), max_size=4), min_size=1, max_size=4))
+    def test_rows_of_strings_match_the_stdlib(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
 
 
 _GOLDEN_SEEDS = ("0", "7", "123456789")

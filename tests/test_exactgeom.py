@@ -24,6 +24,7 @@ from stabgeom import (
     rank,
 )
 from stabgeom.exactgeom import (
+    _clear_row_to_ints,
     _flats,
     _frame_transform,
     _inverse_ints,
@@ -140,6 +141,13 @@ def parse_scalar_by_fraction(value):
     return Fraction(text)
 
 
+def clear_row_by_fraction(row):
+    """A row cleared as before integer strings were read with int: a Fraction each, then the lcm."""
+    fracs = [parse_scalar_by_fraction(x) if isinstance(x, str) else parse_scalar(x) for x in row]
+    scale = math.lcm(*(q.denominator for q in fracs))
+    return [q.numerator * (scale // q.denominator) for q in fracs]
+
+
 def parse_outcome(parse, value):
     """The value a parse returns, or the type and message of the error it raises."""
     try:
@@ -162,21 +170,44 @@ def scalar_texts(draw):
     return draw(pad) + draw(st.sampled_from(["", "+", "-", "+-"])) + text + draw(pad)
 
 
+# the other entries of a row: near-rational and malformed strings, ints, Fractions and a bool
+row_entries = st.one_of(
+    scalar_texts(),
+    st.text(st.sampled_from("0123456789+-/ ._eEx\u0662"), max_size=12),
+    small,
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.just(True),
+)
+
+
 class TestScalars:
     @settings(max_examples=300)
-    @given(st.one_of(scalar_texts(), st.text(st.sampled_from("0123456789+-/ ._eEx\u0662"), max_size=12)))
-    @example("\u0661\u0662")
-    @example("1_000")
-    @example(" -12/18 ")
-    @example("+0/7")
-    @example("007/010")
-    @example("-" + "7" * 4301)
-    @example("1/" + "7" * 4301)
-    def test_string_route_equals_the_fraction_route(self, text):
-        # same value, or the same error type and message
+    @given(
+        st.one_of(scalar_texts(), st.text(st.sampled_from("0123456789+-/ ._eEx\u0662"), max_size=12)),
+        st.lists(row_entries, max_size=3),
+        st.integers(min_value=0, max_value=3),
+    )
+    @example("\u0661\u0662", [], 0)
+    @example("1_000", [], 0)
+    @example(" -12/18 ", [], 0)
+    @example("+0/7", [], 0)
+    @example("007/010", [], 0)
+    @example("-" + "7" * 4301, [], 0)
+    @example("1/" + "7" * 4301, [], 0)
+    @example("1/2", ["3", " -4 ", "6"], 2)  # integer strings, then a "p/q" one
+    @example("x", ["2", 5], 2)  # refused after an integer string and an int
+    @example("7" * 4302, ["1/" + "7" * 4301], 0)  # the first entry's digit limit wins
+    @example("2", [True], 0)
+    def test_string_route_equals_the_fraction_route(self, text, others, at):
+        # the string: same value, or the same error type and message
         fast = parse_outcome(parse_scalar, text)
         assert fast == parse_outcome(parse_scalar_by_fraction, text)
         assert type(fast) is Fraction or fast[0] in (SchemaError, ValueError)
+        # a row holding it: the same integers, or the same first error
+        row = [*others[:at], text, *others[at:]]
+        cleared = parse_outcome(_clear_row_to_ints, row)
+        assert cleared == parse_outcome(clear_row_by_fraction, row)
+        assert type(cleared) is list or cleared[0] in (SchemaError, ValueError)
 
     def test_parse_accepts_int_fraction_and_strings(self):
         assert parse_scalar(7) == 7
@@ -318,6 +349,45 @@ class TestConfigurationSchema:
         again = PointConfiguration.from_json_dict(config.to_json_dict())
         assert again == config
         assert again.to_json_dict()["points"][2] == ["1", "1", "1"]
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda r: st.tuples(
+                st.just(r),
+                st.lists(
+                    st.one_of(
+                        st.lists(entries, min_size=r, max_size=r),
+                        st.lists(st.one_of(entries, st.booleans(), entries.map(str)), min_size=r, max_size=r),
+                        st.just([0] * r),
+                        st.lists(entries, min_size=r + 1, max_size=r + 1),
+                    ),
+                    min_size=1,
+                    max_size=5,
+                ),
+            )
+        )
+    )
+    def test_int_rows_load_like_the_checked_route(self, case):
+        # a nonzero row of exact ints skips the checks; the value and every
+        # error, in row order, are those of the checked constructors
+        rank, rows = case
+
+        def checked():
+            for row in rows:
+                if len(row) != rank:
+                    raise SchemaError(f"each point needs exactly {rank} coordinates")
+                try:
+                    ProjectivePoint(row)
+                except (SchemaError, ValueError) as exc:
+                    raise SchemaError(f"bad point {_shown(row)}: {exc}") from exc
+            return PointConfiguration(rank, [ProjectivePoint(row) for row in rows])
+
+        data = {"ambient_rank": rank, "points": rows}
+        loaded = parse_outcome(PointConfiguration.from_json_dict, data)
+        assert loaded == parse_outcome(lambda _: checked(), None)
+        if type(loaded) is PointConfiguration:
+            assert type(loaded.points) is tuple
+            assert all(type(p.coords) is tuple for p in loaded.points)
 
     @pytest.mark.parametrize(
         "data",

@@ -10,17 +10,21 @@ from hypothesis import assume, given, settings, strategies as st
 from stabgeom import (
     DegenerateConfigurationError,
     GaleData,
+    PointConfiguration,
+    ProjectivePoint,
     RowEliminationError,
     SchemaError,
     StabilityClass,
     classify,
     conic_parameter_points,
+    format_scalar,
     gale_transform,
     is_self_associated,
     on_smooth_conic,
     projectively_equivalent,
     rank,
 )
+from stabgeom.cli import _dumps
 from stabgeom.randconf import (
     random_configuration,
     random_conic_parameters,
@@ -175,6 +179,46 @@ class TestGaleData:
                         continue
                     with pytest.raises(ValueError):
                         GaleData(source=data.source, target=data.target, diag=tuple(diag))
+
+    @pytest.mark.parametrize(
+        "config",
+        [standard_six_config(), random_frame_configuration(random.Random(0), 4, 9)],
+        ids=["standard-six", "frame-4-9"],
+    )
+    def test_rejects_any_one_changed_target_coordinate(self, config):
+        # entry (a, j) of the product moves by D_i * g_i[a], which is nonzero for
+        # some a, so no shape of the product loop may skip an entry of G'
+        data = gale_transform(config)
+        rows = data.target.rows()
+        refused = zeros = 0
+        for i, row in enumerate(rows):
+            for j in range(len(row)):
+                changed = ProjectivePoint([*row[:j], row[j] + 1, *row[j + 1:]])
+                if changed.coords == row:
+                    continue  # a unit row scaled: the same point
+                points = [*data.target.points[:i], changed, *data.target.points[i + 1:]]
+                target = PointConfiguration(data.target.ambient_rank, points)
+                with pytest.raises(ValueError, match="G\\^T D G' = 0 fails"):
+                    GaleData(source=data.source, target=target, diag=data.diag)
+                refused += 1
+                zeros += row[j] == 0
+        # every coordinate is refused but the one nonzero entry of each of the
+        # gamma - r unit rows
+        assert zeros and refused == sum(map(len, rows)) - (len(config) - config.ambient_rank)
+
+    def test_accepts_a_diag_of_rational_strings_with_the_same_bytes(self):
+        config = config_of((1, 2, 3), (2, -1, 4), (3, 5, -2), (1, 1, 1), (4, 1, 7), (2, 3, 5))
+        data = gale_transform(config)
+        for factor in (1, Fraction(2, 7), Fraction(2, 53)):
+            diag = [x * factor for x in data.diag]
+            # unreduced "p/q" strings, and "p" where the entry is whole
+            texts = [f"{3 * q.numerator}/{3 * q.denominator}" for q in diag]
+            from_fractions = GaleData(source=data.source, target=data.target, diag=diag)
+            from_texts = GaleData(source=data.source, target=data.target, diag=texts)
+            assert from_texts.diag == from_fractions.diag == tuple(diag)
+            assert all(type(q) is Fraction for q in from_texts.diag)
+            assert _dumps(from_texts.to_json()) == _dumps(from_fractions.to_json())
+            assert from_texts.to_json()["diag"] == [format_scalar(q) for q in diag]
 
     def test_self_associated_method(self):
         seven = config_of(

@@ -32,7 +32,7 @@ from stabgeom import (
     three_three_splits,
     verify_singular_point,
 )
-from stabgeom.modhyp import NVARS, Polynomial, SegreNode, _sign_paired
+from stabgeom.modhyp import NVARS, Polynomial, SegreNode, _along_normal, _sign_paired
 from stabgeom.verify import check_segre_nodes
 
 from helpers import expanded, gauss_rank, pencil_member, sign_paired_by_matching
@@ -437,6 +437,20 @@ class TestIgusaSingularLocus:
         quartic = igusa_quartic()
         for node in segre_nodes():
             assert quartic.evaluate(node.point) != 0
+
+
+class TestAlongNormal:
+    # no point of either model is known whose gradient has exactly five equal
+    # entries, so the rule is held to its definition directly
+    @pytest.mark.parametrize("odd", range(NVARS))
+    def test_five_equal_entries_are_not_along_the_normal(self, odd):
+        grad = [5] * NVARS
+        grad[odd] = 7
+        assert _along_normal(tuple(grad)) is False
+
+    @pytest.mark.parametrize("value", [32, 0, -3])
+    def test_six_equal_entries_are_along_the_normal(self, value):
+        assert _along_normal((value,) * NVARS) is True
 
 
 class TestIncidence:
