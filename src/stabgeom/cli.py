@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
@@ -50,8 +51,8 @@ def _dumps(value, pad: str = "\n") -> str:
     encoder, so this writer nests the containers itself and quotes strings
     with the C function the stdlib uses for ``ensure_ascii``. A list of
     ints, or of strings, is written in one join, a list of nonempty lists
-    of strings in one join per row, any other list item by item
-    (``_quote`` raises TypeError on an item that is not a string).
+    of ints, or of strings, in one join per row, any other list item by
+    item (``_quote`` raises TypeError on an item that is not a string).
     ``pad`` is the newline and indent of the enclosing level.
     """
     if isinstance(value, str):
@@ -70,18 +71,22 @@ def _dumps(value, pad: str = "\n") -> str:
         else:
             try:
                 if head is list and set(map(type, value)) == {list} and all(value):
-                    # nonempty lists of strings, such as a coordinate matrix,
-                    # one join per row; "".join raises TypeError on a non-string
+                    # nonempty lists of ints or of strings, such as incidence
+                    # pairs or a coordinate matrix, one join per row
                     row_pad = inner + "  "
-                    text = "".join(map("".join, value))
-                    if len(_quote(text)) == len(text) + 2:
-                        # no character needs an escape, so each string is its
-                        # own text between quotes
-                        rows = map(('",' + row_pad + '"').join, value)
-                        start, end = "[" + row_pad + '"', '"' + inner + "]"
+                    start, end = "[" + row_pad, inner + "]"
+                    if type(value[0][0]) is int and set(map(type, chain.from_iterable(value))) == {int}:
+                        rows = map(("," + row_pad).join, map(partial(map, int.__repr__), value))
                     else:
-                        rows = map(("," + row_pad).join, map(partial(map, _quote), value))
-                        start, end = "[" + row_pad, inner + "]"
+                        # "".join raises TypeError on a non-string
+                        text = "".join(map("".join, value))
+                        if len(_quote(text)) == len(text) + 2:
+                            # no character needs an escape, so each string is its
+                            # own text between quotes
+                            rows = map(('",' + row_pad + '"').join, value)
+                            start, end = start + '"', '"' + end
+                        else:
+                            rows = map(("," + row_pad).join, map(partial(map, _quote), value))
                     body = start + (end + sep + start).join(rows) + end
                 else:
                     # a list of strings, such as a row of coordinates, in one pass

@@ -92,8 +92,13 @@ def subsystem_types_from_config(config: PointConfiguration) -> list[SystemType]:
     most = [0] * config.ambient_rank
     # a flat below one of dimension dim has dimension dim + 1 or more and at
     # most reach members, so it can raise a prefix maximum max(most[:s + 1])
-    # only if reach exceeds max(most[:dim + 2]); most[s] itself may stay low
-    for dim, members in _flats(config, lambda dim, reach: reach > max(most[: dim + 2])):
+    # only if reach exceeds max(most[:dim + 2]); most[s] itself may stay low.
+    # A flat is kept only if it raises most[dim].
+    for dim, members in _flats(
+        config,
+        lambda dim, reach: reach > max(most[: dim + 2]),
+        lambda dim, k: k > most[dim],
+    ):
         most[dim] = max(most[dim], len(members))
     return _subsystem_types(most)
 
@@ -155,19 +160,22 @@ def equivalence_check(config: PointConfiguration, g: ScalarLike) -> EquivalenceR
     types can produce, so the comparison is wall-free. Both routes read
     one search of the point-spanned subspaces, pruned by the margin bound
     alone: the worst flat is picked while ``most[s]`` records the largest
-    member count met in dimension s. The recorded types may fall short of
-    ``subsystem_types_from_config``, but the alpha verdicts do not:
+    member count among the kept flats of dimension s. The recorded types
+    may fall short of ``subsystem_types_from_config``, but the alpha
+    verdicts do not:
 
     - A type (s, d, s) has slope d/s + alpha and the full type g + alpha,
       so semistable means d_s <= g*s for every s and stable d_s < g*s,
       where d_s = max(most[:s + 1]).
-    - A recorded count never exceeds the exact d_max(s), so an exact
-      verdict that is true stays true.
+    - A recorded count is the size of a flat of that dimension, so it
+      never exceeds the exact d_max(s), and an exact verdict that is true
+      stays true.
     - If some exact d_max(s) > g*s, a flat F of dimension at most s has
       |F| - g*dim F > 0, so the worst margin is positive. The bound skips
       only subtrees whose every key is worse than one already met, so the
-      worst flat W is always met, and d_(dim W) >= |W| > g*dim W: the
-      recorded verdict is false as well.
+      worst flat W is always met; its key's first entry is at most that
+      of every flat, so it is always kept, and d_(dim W) >= |W| > g*dim W:
+      the recorded verdict is false as well.
     - Stability is the same argument with >= 0 in place of > 0.
     """
     weight = _check_size(config, g)

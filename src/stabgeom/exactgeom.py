@@ -15,7 +15,7 @@ flats are enumerated by reverse search (``_flats``): each is generated
 once, from the flat its lex-first basis spans without its last point, so
 no table of the flats is kept. A caller's ``descend`` test may cut the
 search below a flat, given a bound on the size of every flat there
-(branch and bound).
+(branch and bound), and its ``keep`` test which flats are yielded.
 """
 
 from __future__ import annotations
@@ -481,35 +481,62 @@ class ProjectiveTransform:
 _Flat = tuple[int, tuple[int, ...]]
 
 
+def _image(w: tuple[int, ...], u: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """The primitive image of w in V/span(u): clear u's pivot column q, then drop it."""
+    f = w[q]
+    if not f:
+        return w[:q] + w[q + 1:]
+    image = [u[q] * x - f * y for x, y in zip(w, u)]
+    del image[q]  # a zero entry, so the content and the sign stay
+    return _primitive(image)
+
+
 def _flats(
-    config: PointConfiguration, descend: Callable[[int, int], bool] | None = None
+    config: PointConfiguration,
+    descend: Callable[[int, int], bool] | None = None,
+    keep: Callable[[int, int], bool] | None = None,
 ) -> Iterator[_Flat]:
-    """Yield (dim, members) once for every proper point-spanned subspace.
+    """Yield (dim, members) once for every proper point-spanned subspace that ``keep`` accepts.
 
     Reverse search (Avis and Fukuda, 1996), depth first. A flat F on the
     stack keeps its quotient classes: each primitive image in V/F of a
-    point outside F, mapped to the indices of the points with that image,
-    in ascending order of least member, which leads its list. Its
+    point outside F, paired with the indices of the points with that
+    image, in ascending order of least member, which leads its list. Its
     children, one rank up, join F to one class, and each gets its own
     classes from F's by one small elimination per class of V/F, merging
-    the classes whose images become equal. A flat's canonical parent is
-    the span of its lex-first basis minus that basis's last point, so
-    F + class is canonical iff min(class) comes after F's last point, and
-    min(class) is then the child's last point. Skipping every other child
-    generates each flat once with no table of the flats seen; the stack
-    holds fewer than n pending flats per rank. ``members`` is ascending.
-    Ambient rank 1 yields nothing.
+    the classes whose images become equal (a class that merges with
+    nothing shares F's list; no list is mutated). A flat's canonical
+    parent is the span of its lex-first basis minus that basis's last
+    point, so F + class is canonical iff min(class) comes after F's last
+    point, and min(class) is then the child's last point. Skipping every
+    other child generates each flat once with no table of the flats seen;
+    the stack holds fewer than n pending flats per rank. Ambient rank 1
+    yields nothing.
+
+    ``keep(dim, size)`` is asked of every flat the search decides on, and
+    only a flat it accepts is yielded, with its ``members`` sorted
+    ascending then; with ``keep=None`` every flat is yielded.
+
+    The hyperplanes are handled in place, never pushed: when the search
+    enters C = F + u of dimension r - 2, the classes of V/F that come after
+    u are grouped by their image in V/C, and each group G gives the
+    candidate hyperplane C + G, yielded right after C. The class of V/C
+    that G lies in is G plus the earlier classes of V/F (least member
+    before min(u)) with G's image, so C + G is canonical iff no earlier
+    class has that image. The earlier classes are imaged once, and only
+    once some candidate passes ``keep``: refusing a candidate is their
+    only use.
 
     Branch and bound: each child C = F + u below the hyperplanes is
-    yielded, then ``descend(dim C, reach)`` is asked whether to build C's
-    classes and search below it; with ``descend=None`` every flat is
-    searched. ``reach`` is |C| plus the points of F's classes whose least
-    member comes after min(u), and every flat G below C has
-    dim G >= dim C + 1 and |G| <= reach. Proof: G's lex-first basis
-    extends C's, whose last point is min(u), so a point of G before
-    min(u) lies in the span of F's basis points before it, that is in F.
-    A point w of G outside C lies in a class K != u of V/F, and G
-    contains span(F, w), hence all of K, so min(K) > min(u).
+    decided on, then ``descend(dim C, reach)`` is asked whether to search
+    below it; with ``descend=None`` every flat is searched. ``reach`` is
+    |C| plus the points of F's classes whose least member comes after
+    min(u), and every flat G below C has dim G >= dim C + 1 and
+    |G| <= reach. Proof: G's lex-first basis extends C's, whose last point
+    is min(u), so a point of G before min(u) lies in the span of F's basis
+    points before it, that is in F. A point w of G outside C lies in a
+    class K != u of V/F, and G contains span(F, w), hence all of K, so
+    min(K) > min(u).
     """
     r = config.ambient_rank
     # canonical coordinates make equal rows the same point, so this is the
@@ -517,40 +544,51 @@ def _flats(
     classes: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(config.rows()):
         classes.setdefault(row, []).append(i)
-    stack = [(0, (), -1, classes)] if r > 1 else []
+    stack = [(0, (), -1, [*classes.items()])] if r > 1 else []
     while stack:
-        dim, members, last, classes = stack.pop()
+        dim, members, last, items = stack.pop()
         dim += 1
+        base = len(members)
         bounded = descend is not None and dim < r - 1
         if bounded:
-            later = sum(map(len, classes.values()))
-        for u, new in classes.items():
+            later = sum([len(new) for _, new in items])
+        for at, (u, new) in enumerate(items):
             if bounded:
                 later -= len(new)
             if new[0] < last:
                 continue
-            flat = tuple(sorted((*members, *new)))
-            yield dim, flat
-            if dim == r - 1 or bounded and not descend(dim, len(flat) + later):
+            size = base + len(new)
+            if keep is None or keep(dim, size):
+                yield dim, tuple(sorted((*members, *new)))
+            if dim == r - 1 or bounded and not descend(dim, size + later):
                 continue
-            # classes of V/(F + u): clear u's pivot column, then drop it
-            q = next(j for j, x in enumerate(u) if x)
-            lead = u[q]
-            child: dict[tuple[int, ...], list[int]] = {}
-            for w, old in classes.items():
-                if w is u:
-                    continue
-                f = w[q]
-                if f:
-                    image = [lead * x - f * y for x, y in zip(w, u)]
-                    del image[q]  # a zero entry, so the content and the sign stay
-                    w = _primitive(image)
-                else:
-                    w = w[:q] + w[q + 1:]
-                # merge into a fresh list: the parent's lists are read again
-                # by its later children
-                child.setdefault(w, []).extend(old)
-            stack.append((dim, flat, new[0], child))
+            flat = (*members, *new)
+            for q, x in enumerate(u):
+                if x:
+                    break
+            if dim < r - 2:
+                # the classes of V/flat, to search below it
+                child: dict[tuple[int, ...], list[int]] = {}
+                for w, old in items:
+                    if w is not u:
+                        w = _image(w, u, q)
+                        got = child.get(w)
+                        child[w] = old if got is None else got + old
+                stack.append((dim, flat, new[0], [*child.items()]))
+                continue
+            # the hyperplanes through flat: the later classes grouped by image
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for w, old in items[at + 1:]:
+                w = _image(w, u, q)
+                got = groups.get(w)
+                groups[w] = old if got is None else got + old
+            joined = None
+            for w, group in groups.items():
+                if keep is None or keep(r - 1, size + len(group)):
+                    if joined is None:
+                        joined = {_image(v, u, q) for v, _ in items[:at]}
+                    if w not in joined:
+                        yield r - 1, tuple(sorted((*flat, *group)))
 
 
 def point_spanned_subspaces(config: PointConfiguration) -> list[_Flat]:

@@ -112,10 +112,12 @@ def _worst_flat(
     at most ``reach`` members, so its key's first entry is at least
     p*(dim C + 1) - q*reach, and the search descends below C only while
     that bound does not exceed the best first entry so far (a tie may still
-    win on size or lex order). Given ``most``, it records in ``most[s]``
-    the largest member count among the flats of dimension s that the
-    search meets; a pruned subtree may hold a larger one (see
-    ``cohsys.equivalence_check`` for why its verdicts stay exact).
+    win on size or lex order). A flat is kept only when its own first
+    entry does not exceed that bound, since no other can win. Given
+    ``most``, it records in ``most[s]`` the largest member count among the
+    kept flats of dimension s; a flat not kept or in a pruned subtree may
+    hold a larger one (see ``cohsys.equivalence_check`` for why its
+    verdicts stay exact).
     """
     p, q = g.numerator, g.denominator
     bound = math.inf  # the best key's first entry so far
@@ -124,7 +126,10 @@ def _worst_flat(
     def descend(dim: int, reach: int) -> bool:
         return p * (dim + 1) - q * reach <= bound
 
-    for dim, members in _flats(config, descend):
+    def keep(dim: int, k: int) -> bool:
+        return p * dim - q * k <= bound
+
+    for dim, members in _flats(config, descend, keep):
         k = len(members)
         if most is not None:
             most[dim] = max(most[dim], k)

@@ -562,7 +562,8 @@ class TestGaleGoldenBytes:
 
 
 class TestWriterRows:
-    """A list of nonempty lists of strings takes one join per row; anything else item by item."""
+    """A list of nonempty lists of ints, or of strings, takes one join per row;
+    anything else item by item."""
 
     @pytest.mark.parametrize(
         "value",
@@ -576,9 +577,19 @@ class TestWriterRows:
             [["a", 1], ["b"]],
             [["a"], ["b", ["c"]]],
             [["q\"\\\n\u0662"], ["\ud800", "\x7f"]],
+            [[0, 1], [-2], [10**30, 5]],
+            {"lines": [[[0, 1], [2, 3]], [[4, 5]]], "flags": [[0, 0], [1, 0]]},
+            [[1], []],
+            [[1, True], [2]],
+            [[1], [False]],
+            [[1], ["a"]],
+            [[1], [None]],
+            [[1], [2, [3]]],
         ],
         ids=["matrix", "payload", "empty-row", "string-item", "dict-item", "tuple-row",
-             "int-in-row", "list-in-row", "escaped"],
+             "int-in-row", "list-in-row", "escaped", "int-matrix", "incidence-payload",
+             "int-empty-row", "bool-in-int-row", "bool-row", "string-in-int-row",
+             "null-in-int-row", "list-in-int-row"],
     )
     def test_explicit_rows(self, value):
         assert _dumps(value) == json.dumps(value, indent=2)
@@ -586,6 +597,11 @@ class TestWriterRows:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.text(), max_size=4), min_size=1, max_size=4))
     def test_rows_of_strings_match_the_stdlib(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers() | st.booleans(), max_size=4), min_size=1, max_size=4))
+    def test_rows_of_ints_match_the_stdlib(self, value):
         assert _dumps(value) == json.dumps(value, indent=2)
 
 

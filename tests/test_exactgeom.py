@@ -738,6 +738,24 @@ class TestPointSpannedSubspaces:
         assert len({members for _, members in flats}) == len(flats)
         assert sorted(flats) == point_spanned_subspaces(config)
 
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_configurations(), st.integers(min_value=2, max_value=4))
+    def test_keep_yields_exactly_the_flats_it_accepts(self, config, m):
+        def keep(dim, size):
+            return (dim + size) % m != 0
+
+        flats = list(_flats(config, keep=keep))
+        assert len(set(flats)) == len(flats)
+        assert sorted(flats) == [f for f in point_spanned_subspaces(config) if keep(f[0], len(f[1]))]
+
+    def test_an_earlier_class_refuses_a_kept_hyperplane(self):
+        # through the point 1 the later point 2 lies on the line of the earlier
+        # point 0: the candidate line {1, 2} passes keep, and the lazily imaged
+        # point 0 refuses it, since {0, 1, 2} is generated from the point 0
+        config = config_of((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))
+        lines = list(_flats(config, keep=lambda dim, size: dim == 2))
+        assert lines == [(2, (0, 1, 2)), (2, (0, 3)), (2, (1, 3)), (2, (2, 3))]
+
     def test_rank_six_matches_the_reference_on_seeded_draws(self):
         # rank 6 is past the hypothesis test's range; its own rng stream
         rng = random.Random(606)
@@ -788,40 +806,46 @@ def pinned_configurations(r):
 class TestFlatStreamPin:
     """The flats ``_flats`` yields, in order, unpruned and under the margin
     bound of ``classify``, pinned by digest: the order decides which flats
-    the bound cuts, and the CI work gates count the pruned stream."""
+    the bound cuts, and the CI work gates count the pruned search. The
+    sorted stream, the set of flats, is pinned apart and checked first: a
+    change of order alone never moves it."""
 
     @pytest.mark.parametrize(
-        "r, full, pruned",
+        "r, full, pruned, flats",
         [
             (
                 3,
-                "eb740dd19a915300cc1971e09f831e590792b7d67e7733eb2f2a9626db0e57d0",
-                "9526a2ad21f0a8046d43b02eb832dd733b10f07d59d90381be80ecb37c71bd2e",
+                "baf0b8b1a9c271acb0e03ae15fb8c8b3b5128d88f936a30bcba89b997d95528f",
+                "b2a6b4a8911e57dbb96a43ffe1a14e8c078186af4def52078b14fc12323a2433",
+                "1f0a9ac0d7a5d36d5230eb1bd1236dfc956776a0d1ce322b5daac41f935ec5dc",
             ),
             (
                 4,
-                "171c0bc5a61fce67182591c26580db8917c26584b7fdceb819cc46c0f7a2f625",
-                "f277689c438729f2db70c28acfd2f03684a9eb29352ff6f6e340b1c074ae9636",
+                "942865f0e78c11fbb950f11b7b3d9237675e4e8830d75f831081b898fc6dade9",
+                "8173089f7db8be681333cbc4692391c378fa60f3619ac1fa07661c1aae56cdcd",
+                "d9c4b0f65df542de4be6402b54ca33cac879b6deba09c8e672959a64402e7729",
             ),
             (
                 5,
-                "d80784685197fbe82675fd5a7dbf8b43ad7318fefca25aed2350f63e50c2280b",
-                "ac9f2f620b6da1f60dbf6a4d24f709c1b5c5db9e7c17337361cd412281810d6c",
+                "baf9c0555a65cda496ea2bd45ec239dfcbbc4a142e80d953445d9b5cae099442",
+                "b68976dc551809135886b036f1dbdd6edefc4a1364014d53ba324e7eadd5c41c",
+                "d8adfc43b64a9a87284efe8c6da0cf4acc4481e52a75ce25aaa138ffd2142786",
             ),
             (
                 6,
-                "349d853da898e5b613c928d80bdc8e205a42a2e6612cb2993bc8025dab230d19",
-                "8484aa05f42757a87c76738430cad305d51ca028dbba6454b0dfa7e77b5579eb",
+                "e6f3fc7970e87b90b626c2cf312a3639d73282d4ea98675eeecabce570855140",
+                "f613d0ba77f9cff823c6556500fe2405bb02d22a7c8b7817e8775da880222594",
+                "38befe0474cb0d00b1df4d006c9f49f0b4bea0a3b6eec6717f209cc887fd4705",
             ),
         ],
         ids=["r3", "r4", "r5", "r6"],
     )
-    def test_streams_are_unchanged(self, monkeypatch, r, full, pruned):
+    def test_streams_are_unchanged(self, monkeypatch, r, full, pruned, flats):
         configs = list(pinned_configurations(r))
         seen = []
 
-        def recorded(config, descend=None):
-            for flat in _flats(config, descend):
+        def recorded(config, descend=None, keep=None):
+            for flat in _flats(config, descend, keep):
                 seen[-1].append(flat)
                 yield flat
 
@@ -831,6 +855,7 @@ class TestFlatStreamPin:
                 seen.append([])
                 classify(config, g)
         streams = [list(_flats(config)) for config in configs]
+        assert hashlib.sha256(repr(list(map(sorted, streams))).encode()).hexdigest() == flats
         assert hashlib.sha256(repr(streams).encode()).hexdigest() == full
         assert hashlib.sha256(repr(seen).encode()).hexdigest() == pruned
 

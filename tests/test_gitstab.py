@@ -245,17 +245,19 @@ class TestBranchAndBound:
 
     @pytest.fixture
     def search(self, monkeypatch):
-        """Pass gitstab's and cohsys's descend to _flats only while prune is set;
-        count the subtrees it cuts."""
+        """Pass gitstab's and cohsys's descend and keep to _flats only while
+        prune is set; count the subtrees it cuts."""
         state = SimpleNamespace(prune=True, cut=0)
 
-        def switched(config, descend=None):
+        def switched(config, descend=None, keep=None):
             def counted(dim, reach):
                 go = descend(dim, reach)
                 state.cut += not go
                 return go
 
-            return _flats(config, counted if state.prune and descend else None)
+            if not state.prune:
+                return _flats(config)
+            return _flats(config, counted if descend else None, keep)
 
         monkeypatch.setattr(stabgeom.gitstab, "_flats", switched)
         monkeypatch.setattr(stabgeom.cohsys, "_flats", switched)
