@@ -51,8 +51,9 @@ def _dumps(value, pad: str = "\n") -> str:
     encoder, so this writer nests the containers itself and quotes strings
     with the C function the stdlib uses for ``ensure_ascii``. A list of
     ints, or of strings, is written in one join, a list of nonempty lists
-    of ints, or of strings, in one join per row, any other list item by
-    item (``_quote`` raises TypeError on an item that is not a string).
+    of ints, or of strings none of which needs an escape, in one join per
+    row, any other list item by item (``_quote`` raises TypeError on an
+    item that is not a string).
     ``pad`` is the newline and indent of the enclosing level.
     """
     if isinstance(value, str):
@@ -80,13 +81,11 @@ def _dumps(value, pad: str = "\n") -> str:
                     else:
                         # "".join raises TypeError on a non-string
                         text = "".join(map("".join, value))
-                        if len(_quote(text)) == len(text) + 2:
-                            # no character needs an escape, so each string is its
-                            # own text between quotes
-                            rows = map(('",' + row_pad + '"').join, value)
-                            start, end = start + '"', '"' + end
-                        else:
-                            rows = map(("," + row_pad).join, map(partial(map, _quote), value))
+                        if len(_quote(text)) != len(text) + 2:
+                            raise TypeError  # a character needs an escape: row by row
+                        # each string is its own text between quotes
+                        rows = map(('",' + row_pad + '"').join, value)
+                        start, end = start + '"', '"' + end
                     body = start + (end + sep + start).join(rows) + end
                 else:
                     # a list of strings, such as a row of coordinates, in one pass

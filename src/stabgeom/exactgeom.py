@@ -253,16 +253,13 @@ def _entries(items: Iterable, what: str = "a coordinate vector") -> list:
 def _clear_row_to_ints(row: Iterable[ScalarLike]) -> list[int]:
     """The row scaled by the lcm of its denominators, as a fresh integer list.
 
-    All-int rows skip the Fractions, tested in one pass over the types
-    (which keeps bool out, so parse_scalar still rejects it). A row of
-    ints and integer strings reads each string with ``int``, as
-    ``parse_scalar`` does; the first entry of any other kind (a "p/q"
-    string, a Fraction, a value to refuse) sends the whole row through
-    ``parse_scalar`` and the lcm, so every value and error is that route's.
+    A row of ints and integer strings skips the Fractions: it keeps each
+    int and reads each string with ``int``, as ``parse_scalar`` does. The
+    first entry of any other kind (a "p/q" string, a Fraction, a bool, a
+    value to refuse) sends the whole row through ``parse_scalar`` and the
+    lcm, so every value and error is that route's.
     """
     values = _entries(row)
-    if set(map(type, values)) <= _INT:
-        return values
     ints = []
     for x in values:
         if type(x) is str:

@@ -9,7 +9,6 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from stabgeom import (
     EquivalenceReport,
@@ -19,7 +18,7 @@ from stabgeom import (
     classify,
     conic_parameter_points,
 )
-from stabgeom.cli import _dumps, main
+from stabgeom.cli import main
 from stabgeom.modhyp import DualityReport
 from stabgeom.randconf import random_configuration
 from stabgeom.verify import CheckResult, VerificationReport
@@ -187,96 +186,7 @@ class TestParserBuiltOnce:
         assert calls == []
 
 
-# argvs for the dispatch: every command, valid and refused, help, abbreviated
-# and "="-joined options, "--", unknown names, repeated options and first
-# items that are not command names
-DISPATCH_CORPUS = [
-    [],
-    ["--help"],
-    ["-h"],
-    ["--"],
-    ["--", "incidence"],
-    ["no-such-command"],
-    ["GALE"],
-    ["gal", "--input", "-"],
-    [""],
-    ["-x"],
-    ["--g", "2", "git-classify"],
-    ["git-classify", "--g", "3/2", "--input", "f.json"],
-    ["git-classify", "--g=2", "--input=-"],
-    ["git-classify", "--g", "2", "--inp", "-"],
-    ["git-classify", "--g", "2", "--g", "3", "--input", "-"],
-    ["git-classify", "--input", "-"],
-    ["git-classify", "--g"],
-    ["git-classify", "--", "--g", "2", "--input", "-"],
-    ["git-classify", "--g", "2", "--input", "-", "extra"],
-    ["git-classify", "--help"],
-    ["git-classify", "-h", "--g"],
-    ["git-classify", "--he"],
-    ["critical-values", "-r", "2", "-d", "4", "-k", "2"],
-    ["critical-values", "-r", "2", "-d", "4", "-k", "2", "--degree-bound", "9", "--section-bound", "3"],
-    ["critical-values", "-r", "2", "-d", "4", "-k", "2", "--de", "9"],
-    ["critical-values", "-r", "two", "-d", "4", "-k", "2"],
-    ["critical-values", "-r2", "-d4", "-k2"],
-    ["critical-values", "-r", "-1", "-d", "4", "-k", "2"],
-    ["alpha-check", "--g", "2", "--alpha", "1", "--input", "-"],
-    ["alpha-check", "--g", "2", "--al", "1", "--input", "-"],
-    ["alpha-check", "--g", "2", "--input", "-"],
-    ["equivalence", "--g", "2", "--input", "-"],
-    ["equivalence", "--g", "2"],
-    ["destable-example", "--genus", "3"],
-    ["destable-example", "--genus", "3", "--lambdas", "1,2,3,4"],
-    ["destable-example", "--genus", "\u0664"],
-    ["destable-example"],
-    ["gale", "--input", "-"],
-    ["gale", "--input", "-", "--seed", "3"],
-    ["gale", "-h"],
-    ["hypersurface"],
-    ["hypersurface", "--help"],
-    ["hypersurface", "verify"],
-    ["hypersurface", "verify", "-h"],
-    ["hypersurface", "verify", "segre", "--samples", "5"],
-    ["hypersurface", "verify", "igusa"],
-    ["hypersurface", "verify", "duality", "--samples", "5", "--seed", "1"],
-    ["hypersurface", "verify", "duality", "--sa", "5", "--seed", "1", "--seed", "2"],
-    ["hypersurface", "verify", "cubic"],
-    ["hypersurface", "verify", "--", "segre"],
-    ["hypersurface", "bogus"],
-    ["incidence"],
-    ["incidence", "--"],
-    ["incidence", "extra"],
-    ["verify-all", "--samples", "0", "--seed", "4"],
-    ["verify-all", "--s", "3"],
-    ["verify-all", "--samples"],
-    ["verify-all", "--seed", "1", "--seed", "2"],
-    [None],
-    [1, "incidence"],
-    [["incidence"]],
-    ["gale", "--input", 5],
-]
-
-
-def dispatch_outcome(parse, argv, capsys):
-    """The namespace without ``command``, or the error or exit, with what was printed."""
-    try:
-        namespace = parse(argv)
-    except SystemExit as exc:
-        result = ("exit", exc.code)
-    except Exception as exc:  # UsageError, or a TypeError on an item that is not a str
-        result = (type(exc), str(exc))
-    else:
-        result = {k: v for k, v in vars(namespace).items() if k != "command"}
-    return result, capsys.readouterr()
-
-
 class TestDispatch:
-    @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=repr)
-    def test_same_outcome_as_the_top_level_parser(self, capsys, argv):
-        import stabgeom.cli
-
-        routed = dispatch_outcome(stabgeom.cli._parse, list(argv), capsys)
-        assert routed == dispatch_outcome(stabgeom.cli._PARSER.parse_args, list(argv), capsys)
-
     @pytest.mark.parametrize(
         "argv, levels",
         [
@@ -559,50 +469,6 @@ class TestGaleGoldenBytes:
         assert payload(err) == {
             "error": {"type": "UsageError", "message": "unrecognized arguments: --seed 7"}
         }
-
-
-class TestWriterRows:
-    """A list of nonempty lists of ints, or of strings, takes one join per row;
-    anything else item by item."""
-
-    @pytest.mark.parametrize(
-        "value",
-        [
-            [["1", "-2/3"], ["4", "5"]],
-            {"points": [["1", "0"], ["0", "1"]], "diag": ["1", "-1"]},
-            [["1"], []],
-            [["a"], "b"],
-            [["a"], {"k": "v"}],
-            [["1"], ("2",)],
-            [["a", 1], ["b"]],
-            [["a"], ["b", ["c"]]],
-            [["q\"\\\n\u0662"], ["\ud800", "\x7f"]],
-            [[0, 1], [-2], [10**30, 5]],
-            {"lines": [[[0, 1], [2, 3]], [[4, 5]]], "flags": [[0, 0], [1, 0]]},
-            [[1], []],
-            [[1, True], [2]],
-            [[1], [False]],
-            [[1], ["a"]],
-            [[1], [None]],
-            [[1], [2, [3]]],
-        ],
-        ids=["matrix", "payload", "empty-row", "string-item", "dict-item", "tuple-row",
-             "int-in-row", "list-in-row", "escaped", "int-matrix", "incidence-payload",
-             "int-empty-row", "bool-in-int-row", "bool-row", "string-in-int-row",
-             "null-in-int-row", "list-in-int-row"],
-    )
-    def test_explicit_rows(self, value):
-        assert _dumps(value) == json.dumps(value, indent=2)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(st.text(), max_size=4), min_size=1, max_size=4))
-    def test_rows_of_strings_match_the_stdlib(self, value):
-        assert _dumps(value) == json.dumps(value, indent=2)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(st.integers() | st.booleans(), max_size=4), min_size=1, max_size=4))
-    def test_rows_of_ints_match_the_stdlib(self, value):
-        assert _dumps(value) == json.dumps(value, indent=2)
 
 
 _GOLDEN_SEEDS = ("0", "7", "123456789")

@@ -1,9 +1,7 @@
 """Exact linear algebra: canonical forms, rank, spans, kernels, transforms."""
 
 import hashlib
-import math
 import random
-import re
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -24,7 +22,6 @@ from stabgeom import (
     rank,
 )
 from stabgeom.exactgeom import (
-    _clear_row_to_ints,
     _flats,
     _frame_transform,
     _inverse_ints,
@@ -133,82 +130,7 @@ def rref_inverse(m):
     return [row[n:] for row in rows]
 
 
-def parse_scalar_by_fraction(value):
-    """A string scalar read as before integer-speed parsing: the pattern, then Fraction(text)."""
-    text = value.strip()
-    if not re.fullmatch(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?", text):
-        raise SchemaError(f"not a rational literal: {_shown(value)}")
-    return Fraction(text)
-
-
-def clear_row_by_fraction(row):
-    """A row cleared as before integer strings were read with int: a Fraction each, then the lcm."""
-    fracs = [parse_scalar_by_fraction(x) if isinstance(x, str) else parse_scalar(x) for x in row]
-    scale = math.lcm(*(q.denominator for q in fracs))
-    return [q.numerator * (scale // q.denominator) for q in fracs]
-
-
-def parse_outcome(parse, value):
-    """The value a parse returns, or the type and message of the error it raises."""
-    try:
-        return parse(value)
-    except ValueError as exc:  # SchemaError, or CPython's limit on int digits
-        return type(exc), str(exc)
-
-
-@st.composite
-def scalar_texts(draw):
-    """Strings near the rational pattern: padded, signed, "p/q", non-ASCII or `_`-separated digits."""
-    ascii_digits = st.text(st.sampled_from("0123456789"), min_size=1, max_size=25)
-    # Arabic-Indic, extended Arabic-Indic, Devanagari and fullwidth digits
-    any_digits = st.text(st.sampled_from("0123456789\u0661\u0662\u06f3\u0966\uff11"), min_size=1, max_size=6)
-    part = st.one_of(ascii_digits, any_digits, st.builds("{}_{}".format, ascii_digits, ascii_digits))
-    text = draw(part)
-    if draw(st.booleans()):
-        text += "/" + draw(part)
-    pad = st.text(st.sampled_from(" \t\n\u2003\u00a0"), max_size=2)
-    return draw(pad) + draw(st.sampled_from(["", "+", "-", "+-"])) + text + draw(pad)
-
-
-# the other entries of a row: near-rational and malformed strings, ints, Fractions and a bool
-row_entries = st.one_of(
-    scalar_texts(),
-    st.text(st.sampled_from("0123456789+-/ ._eEx\u0662"), max_size=12),
-    small,
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
-    st.just(True),
-)
-
-
 class TestScalars:
-    @settings(max_examples=300)
-    @given(
-        st.one_of(scalar_texts(), st.text(st.sampled_from("0123456789+-/ ._eEx\u0662"), max_size=12)),
-        st.lists(row_entries, max_size=3),
-        st.integers(min_value=0, max_value=3),
-    )
-    @example("\u0661\u0662", [], 0)
-    @example("1_000", [], 0)
-    @example(" -12/18 ", [], 0)
-    @example("+0/7", [], 0)
-    @example("007/010", [], 0)
-    @example("-" + "7" * 4301, [], 0)
-    @example("1/" + "7" * 4301, [], 0)
-    @example("1/2", ["3", " -4 ", "6"], 2)  # integer strings, then a "p/q" one
-    @example("x", ["2", 5], 2)  # refused after an integer string and an int
-    @example("7" * 4302, ["1/" + "7" * 4301], 0)  # the first entry's digit limit wins
-    @example("2", [True], 0)
-    def test_string_route_equals_the_fraction_route(self, text, others, at):
-        # the string: same value, or the same error type and message
-        fast = parse_outcome(parse_scalar, text)
-        assert fast == parse_outcome(parse_scalar_by_fraction, text)
-        assert type(fast) is Fraction or fast[0] in (SchemaError, ValueError)
-        # a row holding it: the same integers, or the same first error
-        row = [*others[:at], text, *others[at:]]
-        cleared = parse_outcome(_clear_row_to_ints, row)
-        assert cleared == parse_outcome(clear_row_by_fraction, row)
-        assert type(cleared) is list or cleared[0] in (SchemaError, ValueError)
-
     def test_parse_accepts_int_fraction_and_strings(self):
         assert parse_scalar(7) == 7
         assert parse_scalar(Fraction(3, 4)) == Fraction(3, 4)
@@ -280,19 +202,6 @@ class TestProjectivePoint:
         assert point == ProjectivePoint([Fraction(c) for c in coords])
         assert all(type(c) is int for c in point.coords)
 
-    @given(
-        st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=6),
-        st.integers(-10**6, 10**6).filter(bool),
-        st.integers(0, 3),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_the_private_constructor_equals_the_public_one(self, coords, factor, zeros):
-        # leading zeros, a common factor and a negative lead all reach _primitive
-        v = [0] * zeros + [factor * c for c in coords]
-        if not any(v):
-            return
-        assert ProjectivePoint._of(v) == ProjectivePoint(v)
-
     @given(st.lists(entries, min_size=1, max_size=5), st.fractions())
     def test_scaling_is_invisible(self, coords, scale):
         if not any(coords) or scale == 0:
@@ -300,31 +209,7 @@ class TestProjectivePoint:
         assert ProjectivePoint(coords) == ProjectivePoint([scale * c for c in coords])
 
 
-def primitive_by_definition(ints):
-    """Divide by the content, then flip the sign so the first nonzero entry is positive."""
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    divided = [Fraction(v, content) for v in ints]
-    if next(v for v in divided if v) < 0:
-        divided = [-v for v in divided]
-    assert all(v.denominator == 1 for v in divided)
-    return tuple(int(v) for v in divided)
-
-
 class TestPrimitive:
-    @given(
-        st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=1, max_size=7)
-        .filter(any),
-        st.integers(min_value=-10**6, max_value=10**6).filter(bool),
-    )
-    @example([3, -4], 1)
-    def test_matches_the_definition(self, ints, scale):
-        for vector in (ints, [scale * v for v in ints]):
-            got = _primitive(vector)
-            assert type(got) is tuple
-            assert got == primitive_by_definition(vector)
-
     @pytest.mark.parametrize(
         "ints, expected",
         [
@@ -349,45 +234,6 @@ class TestConfigurationSchema:
         again = PointConfiguration.from_json_dict(config.to_json_dict())
         assert again == config
         assert again.to_json_dict()["points"][2] == ["1", "1", "1"]
-
-    @given(
-        st.integers(min_value=1, max_value=4).flatmap(
-            lambda r: st.tuples(
-                st.just(r),
-                st.lists(
-                    st.one_of(
-                        st.lists(entries, min_size=r, max_size=r),
-                        st.lists(st.one_of(entries, st.booleans(), entries.map(str)), min_size=r, max_size=r),
-                        st.just([0] * r),
-                        st.lists(entries, min_size=r + 1, max_size=r + 1),
-                    ),
-                    min_size=1,
-                    max_size=5,
-                ),
-            )
-        )
-    )
-    def test_int_rows_load_like_the_checked_route(self, case):
-        # a nonzero row of exact ints skips the checks; the value and every
-        # error, in row order, are those of the checked constructors
-        rank, rows = case
-
-        def checked():
-            for row in rows:
-                if len(row) != rank:
-                    raise SchemaError(f"each point needs exactly {rank} coordinates")
-                try:
-                    ProjectivePoint(row)
-                except (SchemaError, ValueError) as exc:
-                    raise SchemaError(f"bad point {_shown(row)}: {exc}") from exc
-            return PointConfiguration(rank, [ProjectivePoint(row) for row in rows])
-
-        data = {"ambient_rank": rank, "points": rows}
-        loaded = parse_outcome(PointConfiguration.from_json_dict, data)
-        assert loaded == parse_outcome(lambda _: checked(), None)
-        if type(loaded) is PointConfiguration:
-            assert type(loaded.points) is tuple
-            assert all(type(p.coords) is tuple for p in loaded.points)
 
     @pytest.mark.parametrize(
         "data",
