@@ -175,14 +175,6 @@ class PointConfiguration:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def _of(cls, ambient_rank: int, points: list[ProjectivePoint]) -> "PointConfiguration":
-        """Nonempty points of ``ambient_rank`` coordinates as a configuration, unchecked."""
-        config = object.__new__(cls)
-        object.__setattr__(config, "ambient_rank", ambient_rank)
-        object.__setattr__(config, "points", tuple(points))
-        return config
-
-    @classmethod
     def from_rows(cls, rows: Iterable[Iterable[ScalarLike]]) -> "PointConfiguration":
         points = [ProjectivePoint(row) for row in _entries(rows, "the rows")]
         if not points:
@@ -215,7 +207,7 @@ class PointConfiguration:
                 parsed.append(ProjectivePoint(row))
             except (SchemaError, ValueError) as exc:
                 raise SchemaError(f"bad point {_shown(row)}: {exc}") from exc
-        return cls._of(rank, parsed)
+        return cls(rank, parsed)
 
     def to_json_dict(self) -> dict:
         return {

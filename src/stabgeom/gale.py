@@ -128,7 +128,7 @@ def gale_transform(config: PointConfiguration) -> GaleData:
         next(filter(None, row)) // next(filter(None, point.coords))
         for row, point in zip(gp_rows, points)
     ]
-    target = PointConfiguration._of(gamma - big_r, points)
+    target = PointConfiguration(gamma - big_r, points)
     return GaleData(source=config, target=target, diag=diag)
 
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -1135,6 +1136,13 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"values": ["1", "2"]}
+
+    def test_module_entry_point_in_process(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["stab", "critical-values", "-r", "2", "-d", "4", "-k", "2"])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("stabgeom", run_name="__main__", alter_sys=True)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == '{\n  "values": [\n    "1",\n    "2"\n  ]\n}\n'
 
 
 class TestFullSeededRun:

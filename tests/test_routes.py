@@ -401,19 +401,6 @@ ROUTES = {
         ).filter(any),
         max_examples=200,
     ),
-    # points that the program built, of the configuration's length, need no check
-    "PointConfiguration._of": Route(
-        home="exactgeom.PointConfiguration._of",
-        fast=lambda case: PointConfiguration._of(*case),
-        checked=lambda case: PointConfiguration(*case),
-        cases=st.integers(1, 5).flatmap(
-            lambda r: st.tuples(
-                st.just(r),
-                st.lists(st.lists(entries, min_size=r, max_size=r).filter(any).map(ProjectivePoint),
-                         min_size=1, max_size=6),
-            )
-        ),
-    ),
     # a nonzero row of exact ints skips the checks; the value and every error,
     # in row order, are those of the checked constructors
     "from_json_dict int rows": Route(
