@@ -473,11 +473,30 @@ _Flat = tuple[int, tuple[int, ...]]
 def _image(w: tuple[int, ...], u: tuple[int, ...], q: int) -> tuple[int, ...]:
     """The primitive image of w in V/span(u): clear u's pivot column q, then drop it."""
     f = w[q]
-    if not f:
-        return w[:q] + w[q + 1:]
     image = [u[q] * x - f * y for x, y in zip(w, u)]
     del image[q]  # a zero entry, so the content and the sign stay
     return _primitive(image)
+
+
+def _pair(w: tuple[int, ...], u: tuple[int, ...], q: int) -> tuple[int, int]:
+    """``_image(w, u, q)`` for 3-vectors, in closed form.
+
+    With i < j the columns other than q, the image is
+    (u_q*w_i - w_q*u_i, u_q*w_j - w_q*u_j), divided by its gcd and negated
+    when its first nonzero entry is negative. u's entries before its pivot
+    q are zero, so u is (0, 0, 1) when q = 2.
+    """
+    s, f = u[q], w[q]
+    if q == 0:
+        a, b = s * w[1] - f * u[1], s * w[2] - f * u[2]
+    elif q == 1:
+        a, b = s * w[0], s * w[2] - f * u[2]
+    else:
+        a, b = w[0], w[1]
+    g = math.gcd(a, b)
+    if (a or b) > 0:
+        return a // g, b // g
+    return -a // g, -b // g
 
 
 def _flats(
@@ -509,12 +528,14 @@ def _flats(
     The hyperplanes are handled in place, never pushed: when the search
     enters C = F + u of dimension r - 2, the classes of V/F that come after
     u are grouped by their image in V/C, and each group G gives the
-    candidate hyperplane C + G, yielded right after C. The class of V/C
-    that G lies in is G plus the earlier classes of V/F (least member
-    before min(u)) with G's image, so C + G is canonical iff no earlier
-    class has that image. The earlier classes are imaged once, and only
-    once some candidate passes ``keep``: refusing a candidate is their
-    only use.
+    candidate hyperplane C + G, yielded right after C. V/F is
+    three-dimensional there, so the grouping key, the image of a class in
+    V/C, is a pair, which ``_pair`` computes in closed form. The class of
+    V/C that G lies in is G plus the earlier classes of V/F (least member
+    before min(u)) with G's pair, so C + G is canonical iff no earlier
+    class has that pair. The earlier classes are imaged once, by the same
+    ``_pair``, and only once some candidate passes ``keep``: refusing a
+    candidate is their only use.
 
     Branch and bound: each child C = F + u below the hyperplanes is
     decided on, then ``descend(dim C, reach)`` is asked whether to search
@@ -566,16 +587,16 @@ def _flats(
                 stack.append((dim, flat, new[0], [*child.items()]))
                 continue
             # the hyperplanes through flat: the later classes grouped by image
-            groups: dict[tuple[int, ...], list[int]] = {}
+            groups: dict[tuple[int, int], list[int]] = {}
             for w, old in items[at + 1:]:
-                w = _image(w, u, q)
+                w = _pair(w, u, q)
                 got = groups.get(w)
                 groups[w] = old if got is None else got + old
             joined = None
             for w, group in groups.items():
                 if keep is None or keep(r - 1, size + len(group)):
                     if joined is None:
-                        joined = {_image(v, u, q) for v, _ in items[:at]}
+                        joined = {_pair(v, u, q) for v, _ in items[:at]}
                     if w not in joined:
                         yield r - 1, tuple(sorted((*flat, *group)))
 

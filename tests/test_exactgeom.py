@@ -35,7 +35,9 @@ from stabgeom.exactgeom import (
     reduced_row_echelon,
 )
 
+import stabgeom.exactgeom
 import stabgeom.gitstab
+from stabgeom.cohsys import subsystem_types_from_config
 from stabgeom.randconf import random_frame_configuration
 
 from helpers import config_of, degenerate_configurations, gauss_rank, rref
@@ -704,6 +706,30 @@ class TestFlatStreamPin:
         assert hashlib.sha256(repr(list(map(sorted, streams))).encode()).hexdigest() == flats
         assert hashlib.sha256(repr(streams).encode()).hexdigest() == full
         assert hashlib.sha256(repr(seen).encode()).hexdigest() == pruned
+
+
+class TestHyperplaneLevelPairs:
+    def test_the_hyperplane_level_images_only_through_pair(self, monkeypatch):
+        # V/F is three-dimensional where the hyperplanes are grouped, so a
+        # 3-vector reaching _image means that level fell back to it
+        widths = {"_image": [], "_pair": []}
+        for name in widths:
+            original = getattr(stabgeom.exactgeom, name)
+
+            def recorded(w, u, q, original=original, seen=widths[name]):
+                seen.append(len(w))
+                return original(w, u, q)
+
+            monkeypatch.setattr(stabgeom.exactgeom, name, recorded)
+        for r in range(3, 7):
+            for config in pinned_configurations(r):
+                for g in (1, Fraction(len(config), r), 3):
+                    classify(config, g)
+                subsystem_types_from_config(config)
+                list(_flats(config))
+        assert 3 not in widths["_image"]
+        assert widths["_image"] and widths["_pair"]
+        assert set(widths["_pair"]) == {3}
 
 
 class TestProjectiveEquivalence:

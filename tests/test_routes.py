@@ -42,7 +42,7 @@ from stabgeom import (
     parse_scalar,
 )
 from stabgeom.cli import _PARSER, _dumps, _parse
-from stabgeom.exactgeom import _clear_row_to_ints, _image, _primitive, _shown
+from stabgeom.exactgeom import _clear_row_to_ints, _image, _pair, _primitive, _shown
 from stabgeom.modhyp import incidence_15_3
 from stabgeom.randconf import _nonzero_vector, _randints, random_frame_configuration
 
@@ -172,30 +172,21 @@ def scaled_pair(case):
 
 
 @st.composite
-def image_cases(draw):
-    """(w, u, q): u canonical with q its first nonzero column, w canonical and off u's line.
+def pair_cases(draw):
+    """(w, u, q) as the hyperplane level of ``_flats`` passes them: primitive 3-vectors,
+    u's lead positive and in column q, w's lead positive and w off u's line.
 
-    Half of the draws put a zero in w's column q, the case ``_image`` copies.
+    Half of the draws put a zero in w's column q.
     """
-    width = draw(st.integers(2, 6))
-    vectors = st.lists(st.integers(-9, 9), min_size=width, max_size=width).filter(any)
-    u = primitive_by_definition(draw(vectors))
-    q = next(i for i, x in enumerate(u) if x)
-    w = draw(vectors)
+    q = draw(st.integers(0, 2))
+    tail = draw(st.lists(st.integers(-9, 9), min_size=3 - q, max_size=3 - q).filter(lambda v: v[0]))
+    u = primitive_by_definition([0] * q + tail)
+    w = draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3))
     if draw(st.booleans()):
         w[q] = 0
-    if not any(w) or all(u[i] * w[j] == u[j] * w[i] for i in range(width) for j in range(width)):
-        w = [int(i != q) for i in range(width)]  # off the line, zero in column q
+    if all(u[i] * w[j] == u[j] * w[i] for i in range(3) for j in range(3)):
+        w = [int(i != q) for i in range(3)]  # off the line, zero in column q
     return primitive_by_definition(w), u, q
-
-
-def image_by_definition(case):
-    """w - (w_q / u_q) u without its column q, made primitive."""
-    w, u, q = case
-    image = [Fraction(x) - Fraction(w[q], u[q]) * y for x, y in zip(w, u)]
-    del image[q]
-    scale = math.lcm(*(c.denominator for c in image))
-    return primitive_by_definition([int(c * scale) for c in image])
 
 
 # --- cli -------------------------------------------------------------------
@@ -462,13 +453,20 @@ ROUTES = {
         ),
         examples=(([3, -4], 1),),
     ),
-    # a class with a zero in u's pivot column keeps its image: the column is dropped
-    "_image zero entry": Route(
-        home="exactgeom._image",
-        fast=lambda case: _image(*case),
-        checked=image_by_definition,
-        cases=image_cases(),
-        examples=(((0, 1, 0), (1, 0, 0), 0), ((1, -2, 0), (0, 1, 3), 1)),
+    # a 3-vector's image at the hyperplane level is a pair, in closed form
+    "_pair": Route(
+        home="exactgeom._pair",
+        fast=lambda case: _pair(*case),
+        checked=lambda case: _image(*case),
+        cases=pair_cases(),
+        examples=(
+            ((3, 1, 1), (0, 2, -1), 1),  # q = 1
+            ((2, -4, 5), (0, 0, 1), 2),  # q = 2, a common factor
+            ((0, 2, -1), (1, 2, 3), 0),  # w_q = 0
+            ((2, 1, 1), (1, 1, 1), 0),  # a negative first entry
+            ((1, 1, 1), (1, 1, 0), 0),  # a = 0, b positive
+        ),
+        max_examples=200,
     ),
     # an argv that starts with a command name is parsed by that subparser alone
     "_parse subparser dispatch": Route(
