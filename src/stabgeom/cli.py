@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
@@ -50,10 +48,9 @@ def _dumps(value, pad: str = "\n") -> str:
     bools and None. The stdlib indents only through its pure-Python
     encoder, so this writer nests the containers itself and quotes strings
     with the C function the stdlib uses for ``ensure_ascii``. A list of
-    ints, or of strings, is written in one join, a list of nonempty lists
-    of ints, or of strings none of which needs an escape, in one join per
-    row, any other list item by item (``_quote`` raises TypeError on an
-    item that is not a string).
+    strings is written in one join, a list of nonempty lists of strings
+    none of which needs an escape in one join per row, any other list item
+    by item.
     ``pad`` is the newline and indent of the enclosing level.
     """
     if isinstance(value, str):
@@ -66,32 +63,27 @@ def _dumps(value, pad: str = "\n") -> str:
         if isinstance(value, dict):
             body = sep.join([_quote(k) + ": " + _dumps(v, inner) for k, v in value.items()])
             return "{" + inner + body + pad + "}"
-        head = type(value[0])
-        if head is int and set(map(type, value)) == {int}:
-            body = sep.join(map(int.__repr__, value))
-        else:
+        body = None
+        if type(value[0]) is list and set(map(type, value)) == {list} and all(value):
+            # nonempty rows of strings none of which needs an escape, such as
+            # a coordinate matrix, one quoted join per row
             try:
-                if head is list and set(map(type, value)) == {list} and all(value):
-                    # nonempty lists of ints or of strings, such as incidence
-                    # pairs or a coordinate matrix, one join per row
-                    row_pad = inner + "  "
-                    start, end = "[" + row_pad, inner + "]"
-                    if type(value[0][0]) is int and set(map(type, chain.from_iterable(value))) == {int}:
-                        rows = map(("," + row_pad).join, map(partial(map, int.__repr__), value))
-                    else:
-                        # "".join raises TypeError on a non-string
-                        text = "".join(map("".join, value))
-                        if len(_quote(text)) != len(text) + 2:
-                            raise TypeError  # a character needs an escape: row by row
-                        # each string is its own text between quotes
-                        rows = map(('",' + row_pad + '"').join, value)
-                        start, end = start + '"', '"' + end
-                    body = start + (end + sep + start).join(rows) + end
-                else:
-                    # a list of strings, such as a row of coordinates, in one pass
-                    body = sep.join(map(_quote, value))
+                text = "".join(map("".join, value))  # TypeError on a non-string
             except TypeError:
-                body = sep.join([_dumps(v, inner) for v in value])
+                text = None
+            if text is not None and len(_quote(text)) == len(text) + 2:
+                row_pad = inner + "  "
+                start, end = "[" + row_pad + '"', '"' + inner + "]"
+                rows = map(('",' + row_pad + '"').join, value)
+                body = start + (end + sep + start).join(rows) + end
+        elif type(value[0]) is str:
+            try:
+                # a list of strings, such as a row of coordinates, in one pass
+                body = sep.join(map(_quote, value))
+            except TypeError:  # an item that is not a string
+                pass
+        if body is None:
+            body = sep.join([_dumps(v, inner) for v in value])
         return "[" + inner + body + pad + "]"
     if value is None:
         return "null"

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import stabgeom.exactgeom
 from stabgeom import (
     DegenerateConfigurationError,
     GaleData,
@@ -233,6 +234,25 @@ class TestGaleData:
         assert set(payload) == {"source", "target", "diag"}
         assert payload["diag"] == ["1", "1", "1", "-1", "-1", "-1"]
         assert payload["target"]["ambient_rank"] == 3
+
+
+class TestWorkGate:
+    def test_the_seed_0_8_by_30_transform_makes_at_most_60_primitive_calls(self, monkeypatch):
+        # one fraction-free Gauss-Jordan pass makes each echelon row primitive
+        # once: the kernel of G^T for these points costs 8 basis rows and 22
+        # normals, and the 30 target points one call each; GaleData's check of
+        # D makes none (counted, not timed, so the host's speed cannot move it)
+        config = random_frame_configuration(random.Random(0), 8, 30)
+        calls = []
+        original = stabgeom.exactgeom._primitive
+
+        def counted(ints):
+            calls.append(ints)
+            return original(ints)
+
+        monkeypatch.setattr(stabgeom.exactgeom, "_primitive", counted)
+        gale_transform(config)
+        assert len(calls) <= 60
 
 
 class TestConic:

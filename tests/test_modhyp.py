@@ -705,6 +705,20 @@ class TestOnePowerPass:
             assert check_segre_nodes(200, seed).passed
             assert len(passes) == 220
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_duality_work_gate(self, passes, seed):
+        # 2,000 samples make exactly 6,000 passes at any seed (counted, not
+        # timed, so the host's speed cannot move the gate)
+        report = duality_check(2000, seed)
+        assert report.passed and report.reverse_skipped == 0
+        assert len(passes) == 6000
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_segre_work_gate(self, passes, seed):
+        # a 2,000-point stray search: 2,000 passes, and 20 for the nodes
+        assert check_segre_nodes(2000, seed).passed
+        assert len(passes) == 2020
+
     def test_singularity_test_and_polar_map_make_one_pass(self, passes):
         x = sample_segre_points(1, seed=0)[0]
         del passes[:]

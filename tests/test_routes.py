@@ -1,15 +1,17 @@
 """Every fast route against its checked reference, in one table.
 
 A fast route is a private shortcut the program takes for its common input
-(an all-int row, a command name, a list of ints) beside a route that checks
-or handles everything. Each row of ``ROUTES`` names the function that holds
-the route, the fast callable, its checked reference and a hypothesis
-strategy of cases; both callables must return an equal value of the same
-types, or raise the same error type with the same message. Only the error
-types a row names as its refusals count as an outcome; any other error
-fails the case, even when both sides raise it. A row keeps the
-example count of the test it replaced, and that test's explicit examples
-run as test cases of their own.
+(an all-int row, a command name, a list of strings) beside a route that
+checks or handles everything. Each row of ``ROUTES`` names the function that
+holds the route, the fast callable, its checked reference, a hypothesis
+strategy of cases and the ``BENCH_<n>.json`` whose end-to-end ablation keeps
+the route (removing it moved a ``BENCHMARK.json`` metric past the quartile
+distance of the tree that has it), or, for a row whose route was deleted,
+the run that deleted it; both callables must return an equal value of the
+same types, or raise the same error type with the same message. Only the error types a row names as its refusals count as an
+outcome; any other error fails the case, even when both sides raise it. A
+row keeps the example count of the test it replaced, and that test's
+explicit examples run as test cases of their own.
 
 ``test_every_route_has_a_row`` walks the sources: each ``_of`` classmethod
 and each type-set test ``set(map(type, ...))`` is a route, and the function
@@ -49,6 +51,7 @@ from stabgeom.randconf import _nonzero_vector, _randints, random_frame_configura
 from helpers import standard_six_config
 
 SRC = Path(stabgeom.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 FIVE_THOUSAND_DIGITS = 10**4999
 
 entries = st.integers(min_value=-30, max_value=30)
@@ -62,6 +65,7 @@ class Route:
     fast: Callable
     checked: Callable
     cases: st.SearchStrategy
+    evidence: str  # the BENCH_<n>.json at the repo root whose end-to-end run keeps (or deleted) the route
     examples: tuple = ()
     max_examples: int = 100
     refusals: tuple = ()  # the error types that are an outcome; any other fails the case
@@ -381,6 +385,7 @@ ROUTES = {
     # a program-built nonzero int vector becomes a point with _primitive alone
     "ProjectivePoint._of": Route(
         home="exactgeom.ProjectivePoint._of",
+        evidence="BENCH_35.json",
         fast=ProjectivePoint._of,
         checked=ProjectivePoint,
         # leading zeros, a common factor and a negative lead all reach _primitive
@@ -396,6 +401,7 @@ ROUTES = {
     # in row order, are those of the checked constructors
     "from_json_dict int rows": Route(
         home="exactgeom.PointConfiguration.from_json_dict",
+        evidence="BENCH_35.json",
         fast=lambda data: stored(PointConfiguration.from_json_dict(data)),
         checked=lambda data: stored(checked_configuration(data)),
         cases=st.integers(min_value=1, max_value=4).flatmap(
@@ -416,9 +422,12 @@ ROUTES = {
         refusals=(ValueError,),  # SchemaError
     ),
     # ints and integer strings are read with int; the first entry of any other
-    # kind sends the row through parse_scalar and the lcm
+    # kind sends the row through parse_scalar and the lcm. No workload writes
+    # string coordinates yet, so no metric can judge the integer strings; the
+    # evidence file records that exemption
     "_clear_row_to_ints integer strings": Route(
         home="exactgeom._clear_row_to_ints",
+        evidence="BENCH_35.json",
         fast=lambda case: read_strings(case, parse_scalar, _clear_row_to_ints),
         checked=lambda case: read_strings(case, parse_scalar_by_fraction, clear_row_by_fraction),
         cases=st.tuples(
@@ -445,6 +454,7 @@ ROUTES = {
     # a vector of content 1 and positive lead is returned as it is
     "_primitive early return": Route(
         home="exactgeom._primitive",
+        evidence="BENCH_32.json",
         fast=lambda case: [_primitive(v) for v in scaled_pair(case)],
         checked=lambda case: [primitive_by_definition(v) for v in scaled_pair(case)],
         cases=st.tuples(
@@ -456,6 +466,7 @@ ROUTES = {
     # a 3-vector's image at the hyperplane level is a pair, in closed form
     "_pair": Route(
         home="exactgeom._pair",
+        evidence="BENCH_34.json",
         fast=lambda case: _pair(*case),
         checked=lambda case: _image(*case),
         cases=pair_cases(),
@@ -471,14 +482,18 @@ ROUTES = {
     # an argv that starts with a command name is parsed by that subparser alone
     "_parse subparser dispatch": Route(
         home="cli._parse",
+        evidence="BENCH_35.json",
         fast=parsed_by(_parse),
         checked=parsed_by(_PARSER.parse_args),
         cases=st.lists(st.sampled_from(ARGV_WORDS), max_size=6),
         examples=tuple(DISPATCH_CORPUS),
         max_examples=len(DISPATCH_CORPUS),
     ),
+    # a list of ints: no fast route since the flat-int join was deleted; the
+    # row keeps the general path checked on the input that join took
     "_dumps flat ints": Route(
         home="cli._dumps",
+        evidence="BENCH_35.json",
         fast=_dumps,
         checked=stdlib_json,
         cases=st.lists(st.integers() | st.booleans() | st.none(), min_size=1, max_size=6),
@@ -486,14 +501,17 @@ ROUTES = {
     ),
     "_dumps flat strings": Route(
         home="cli._dumps",
+        evidence="BENCH_35.json",
         fast=_dumps,
         checked=stdlib_json,
         cases=st.lists(st.one_of(escaped_text, plain_text, st.integers(), st.none()), min_size=1, max_size=5),
         examples=(["1", "-2/3"], ["a", 1], ["a", ["b"]], ["q\"\\\n\u0662"]),
     ),
-    # rows of ints, such as incidence pairs, one join per row
+    # rows of ints, such as incidence pairs: no fast route since the
+    # int-matrix join was deleted; they go item by item
     "_dumps int matrix": Route(
         home="cli._dumps",
+        evidence="BENCH_35.json",
         fast=_dumps,
         checked=stdlib_json,
         cases=st.lists(st.lists(st.integers() | st.booleans(), max_size=4), min_size=1, max_size=4),
@@ -506,13 +524,14 @@ ROUTES = {
             [[1], ["a"]],
             [[1], [None]],
             [[1], [2, [3]]],
-            INCIDENCE_LINES,  # stab incidence's lines, three deep: no int matrix
+            INCIDENCE_LINES,  # stab incidence's lines, three deep
         ),
     ),
     # rows of strings in which nothing needs an escape: one quoted join per
     # row; a matrix with a string to escape goes row by row
     "_dumps escape-free string matrix": Route(
         home="cli._dumps",
+        evidence="BENCH_35.json",
         fast=_dumps,
         checked=stdlib_json,
         cases=st.lists(st.lists(plain_text | st.text(), max_size=4), min_size=1, max_size=4),
@@ -533,6 +552,7 @@ ROUTES = {
     # an all-int D, as gale_transform records it, is read with Fraction alone
     "GaleData int diag": Route(
         home="gale.GaleData.__init__",
+        evidence="BENCH_35.json",
         fast=gale_with(list),
         checked=gale_with(lambda diag: [Fraction(d) for d in diag]),
         cases=gale_cases(perturb=True),
@@ -541,6 +561,7 @@ ROUTES = {
     # D is written from numerator and denominator, not through format_scalar
     "GaleData.to_json diag": Route(
         home="gale.GaleData.to_json",
+        evidence="BENCH_35.json",
         fast=lambda case: diag_texts(*case)[0],
         checked=lambda case: diag_texts(*case)[1],
         cases=st.tuples(
@@ -556,6 +577,7 @@ ROUTES = {
     # draws otherwise fails here
     "_randints": Route(
         home="randconf._randints",
+        evidence="BENCH_35.json",
         fast=randints_stream(_randints),
         checked=randints_stream(randint_draws),
         cases=st.tuples(
@@ -573,6 +595,7 @@ ROUTES = {
     # the ungated draw behind random_vector and the Segre stray search
     "_nonzero_vector": Route(
         home="randconf._nonzero_vector",
+        evidence="BENCH_35.json",
         fast=vector_stream(_nonzero_vector),
         checked=vector_stream(nonzero_by_randint),
         cases=st.tuples(st.integers(), st.integers(1, 8), st.integers(1, 40)),
@@ -642,6 +665,13 @@ def unlisted_routes(source: str, module: str, homes) -> list[str]:
 
 
 HOMES = {route.home for route in ROUTES.values()}
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_every_row_names_its_end_to_end_evidence(name):
+    evidence = ROUTES[name].evidence
+    assert re.fullmatch(r"BENCH_[0-9]+\.json", evidence)
+    assert (REPO / evidence).is_file()
 
 
 def test_every_route_has_a_row():
