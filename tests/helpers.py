@@ -7,12 +7,33 @@ derivation solves its conditions with the same oracle, on the expanded
 ``Polynomial`` form rather than the power-sum model.
 """
 
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from stabgeom import MatchingLine, PointConfiguration, perfect_matchings
+from stabgeom.cli import main
 from stabgeom.modhyp import NVARS, Polynomial
+
+
+def run_cli(argv, stdin=""):
+    """``main(argv)`` with ``stdin`` as its standard input: (exit code, stdout, stderr).
+
+    The streams are swapped by ``redirect_stdout``, not by a pytest
+    fixture, so a hypothesis test can call it once per example.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 def rref(matrix):

@@ -1,7 +1,6 @@
 """CLI contract: JSON shapes, exit codes, determinism, round-trips."""
 
 import hashlib
-import io
 import json
 import random
 import runpy
@@ -24,25 +23,14 @@ from stabgeom.modhyp import DualityReport
 from stabgeom.randconf import random_configuration
 from stabgeom.verify import CheckResult, VerificationReport
 
-from helpers import collinear_target_six_config, standard_six_config, triple_point_config
+from helpers import collinear_target_six_config, run_cli, standard_six_config, triple_point_config
 
 TRIPLE_ROWS = [[1, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
 
 
 @pytest.fixture
-def cli(capsys):
-    def run(argv, stdin=None):
-        if stdin is not None:
-            sys.stdin = io.StringIO(stdin)
-        try:
-            code = main(argv)
-        finally:
-            if stdin is not None:
-                sys.stdin = sys.__stdin__
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    return run
+def cli():
+    return run_cli
 
 
 def payload(text):
@@ -102,19 +90,11 @@ class TestSingleEnumeration:
             ["alpha-check", "--g", "2", "--alpha", "1"],
         ],
     )
-    def test_subspaces_are_enumerated_once(self, cli, config_file, monkeypatch, argv):
+    def test_subspaces_are_enumerated_once(self, cli, config_file, spy, argv):
         import stabgeom.cohsys
         import stabgeom.gitstab
 
-        calls = []
-        original = stabgeom.gitstab._flats
-
-        def counted(config, *rest):
-            calls.append(config)
-            return original(config, *rest)
-
-        monkeypatch.setattr(stabgeom.gitstab, "_flats", counted)
-        monkeypatch.setattr(stabgeom.cohsys, "_flats", counted)
+        calls = spy(stabgeom.gitstab, "_flats", stabgeom.cohsys)
         code, _, _ = cli(argv + ["--input", config_file(TRIPLE_ROWS)])
         assert code == 0
         assert len(calls) == 1
@@ -127,18 +107,11 @@ class TestSingleEnumeration:
             ["alpha-check", "--g", "2", "--alpha", "1"],
         ],
     )
-    def test_no_flat_basis_is_built(self, cli, config_file, monkeypatch, argv):
+    def test_no_flat_basis_is_built(self, cli, config_file, spy, argv):
         # the commands read only the flats' dimensions and members
         import stabgeom.exactgeom
 
-        calls = []
-        original = stabgeom.exactgeom._echelon
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(stabgeom.exactgeom, "_echelon", counted)
+        calls = spy(stabgeom.exactgeom, "_echelon")
         code, _, _ = cli(argv + ["--input", config_file(TRIPLE_ROWS)])
         assert code == 0
         assert calls == []
@@ -153,34 +126,20 @@ class TestSingleGaleTransform:
             [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3], [1, 4, 9], [2, 3, 5]],
         ],
     )
-    def test_gale_transforms_once(self, cli, config_file, monkeypatch, rows):
+    def test_gale_transforms_once(self, cli, config_file, spy, rows):
         import stabgeom.gale
 
-        calls = []
-        original = stabgeom.gale.kernel_basis
-
-        def counted(matrix):
-            calls.append(matrix)
-            return original(matrix)
-
-        monkeypatch.setattr(stabgeom.gale, "kernel_basis", counted)
+        calls = spy(stabgeom.gale, "kernel_basis")
         code, _, _ = cli(["gale", "--input", config_file(rows)])
         assert code == 0
         assert len(calls) == 1
 
 
 class TestParserBuiltOnce:
-    def test_main_builds_no_parser(self, cli, monkeypatch):
+    def test_main_builds_no_parser(self, cli, spy):
         import stabgeom.cli
 
-        calls = []
-        original = stabgeom.cli._build_parser
-
-        def counted():
-            calls.append(None)
-            return original()
-
-        monkeypatch.setattr(stabgeom.cli, "_build_parser", counted)
+        calls = spy(stabgeom.cli, "_build_parser")
         for argv in (["critical-values", "-r", "2", "-d", "4", "-k", "2"], ["incidence"]):
             code, _, _ = cli(argv)
             assert code == 0
@@ -195,17 +154,10 @@ class TestDispatch:
             (["hypersurface", "verify", "igusa"], 2),
         ],
     )
-    def test_main_parses_once_per_parser_level(self, cli, monkeypatch, argv, levels):
+    def test_main_parses_once_per_parser_level(self, cli, spy, argv, levels):
         import stabgeom.cli
 
-        calls = []
-        original = stabgeom.cli._Parser.parse_known_args
-
-        def counted(self, *args, **kwargs):
-            calls.append(self.prog)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(stabgeom.cli._Parser, "parse_known_args", counted)
+        calls = spy(stabgeom.cli._Parser, "parse_known_args")
         code, _, _ = cli(argv, stdin=json.dumps({"ambient_rank": 1, "points": [["1"]]}))
         assert code == 0
         assert len(calls) == levels
@@ -1127,15 +1079,51 @@ class TestExhaustedResource:
         assert err == '{\n  "error": {\n    "type": "MemoryError",\n    "message": ""\n  }\n}\n'
 
 
+# the six points of standard_six_config as strings, read on stdin by every module run
+SIX_POINTS = json.dumps(
+    {"ambient_rank": 3, "points": [[str(x) for x in p.coords] for p in standard_six_config().points]}
+)
+
+MODULE_RUNS = [
+    pytest.param(["git-classify", "--g", "2", "--input", "-"], 0, id="git-classify"),
+    pytest.param(["critical-values", "-r", "2", "-d", "4", "-k", "2"], 0, id="critical-values"),
+    pytest.param(["alpha-check", "--g", "2", "--alpha", "1", "--input", "-"], 0, id="alpha-check"),
+    pytest.param(["equivalence", "--g", "2", "--input", "-"], 0, id="equivalence"),
+    pytest.param(["destable-example", "--genus", "3"], 0, id="destable-example"),
+    pytest.param(["gale", "--input", "-"], 0, id="gale"),
+    pytest.param(["hypersurface", "verify", "segre", "--samples", "5"], 0, id="hypersurface-segre"),
+    pytest.param(["hypersurface", "verify", "igusa"], 0, id="hypersurface-igusa"),
+    pytest.param(["hypersurface", "verify", "duality", "--samples", "5"], 0, id="hypersurface-duality"),
+    pytest.param(["incidence"], 0, id="incidence"),
+    pytest.param(["verify-all", "--samples", "0"], 0, id="verify-all"),
+    # an Arabic-Indic two: refused, and echoed in the message as \u0662
+    pytest.param(["critical-values", "-r", "\u0662", "-d", "4", "-k", "2"], 2, id="refused-arabic-indic-rank"),
+]
+
+
 class TestModuleEntryPoint:
-    def test_python_dash_m_invocation(self):
+    """``python -m stabgeom`` in a subprocess: every command once, each
+    hypersurface target and one refused argv. The stream that carries the
+    payload (stderr for the refusal) holds exactly json.dumps(payload,
+    indent=2) and a newline, the other stream nothing, and the bytes are
+    those of the in-process ``main``."""
+
+    @pytest.mark.parametrize("argv, code", MODULE_RUNS)
+    def test_module_run_bytes(self, cli, argv, code):
         proc = subprocess.run(
-            [sys.executable, "-m", "stabgeom", "critical-values", "-r", "2", "-d", "4", "-k", "2"],
-            capture_output=True,
-            text=True,
+            [sys.executable, "-m", "stabgeom", *argv], input=SIX_POINTS, capture_output=True, text=True
         )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout) == {"values": ["1", "2"]}
+        text, quiet = (proc.stderr, proc.stdout) if code == 2 else (proc.stdout, proc.stderr)
+        assert (proc.returncode, quiet) == (code, "")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == cli(argv, SIX_POINTS)
+
+    def test_the_table_runs_every_command_and_target(self):
+        import stabgeom.cli
+
+        argvs = [run.values[0] for run in MODULE_RUNS]
+        assert {argv[0] for argv in argvs} == set(stabgeom.cli._COMMANDS)
+        assert {argv[2] for argv in argvs if argv[0] == "hypersurface"} == {"segre", "igusa", "duality"}
 
     def test_module_entry_point_in_process(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["stab", "critical-values", "-r", "2", "-d", "4", "-k", "2"])

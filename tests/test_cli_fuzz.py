@@ -5,14 +5,11 @@ must come with one typed JSON error on stderr. Sizes stay small (r <= 4,
 n <= 7, tiny sample counts and bounds) so each command returns quickly.
 """
 
-import contextlib
-import io
 import json
-import sys
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stabgeom.cli import main
+from helpers import run_cli
 
 # hostile values for any slot of a configuration document
 hostile = st.one_of(
@@ -96,22 +93,10 @@ def argvs(draw):
     return args
 
 
-def run(argv, stdin):
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argvs(), config_documents())
 def test_exit_codes_and_typed_errors(argv, doc):
-    code, out, err = run(argv, json.dumps(doc))
+    code, out, err = run_cli(argv, json.dumps(doc))
     assert code in (0, 1, 2)
     if code == 2:
         error = json.loads(err)["error"]

@@ -709,24 +709,17 @@ class TestFlatStreamPin:
 
 
 class TestHyperplaneLevelPairs:
-    def test_the_hyperplane_level_images_only_through_pair(self, monkeypatch):
+    def test_the_hyperplane_level_images_only_through_pair(self, spy):
         # V/F is three-dimensional where the hyperplanes are grouped, so a
         # 3-vector reaching _image means that level fell back to it
-        widths = {"_image": [], "_pair": []}
-        for name in widths:
-            original = getattr(stabgeom.exactgeom, name)
-
-            def recorded(w, u, q, original=original, seen=widths[name]):
-                seen.append(len(w))
-                return original(w, u, q)
-
-            monkeypatch.setattr(stabgeom.exactgeom, name, recorded)
+        calls = {name: spy(stabgeom.exactgeom, name) for name in ("_image", "_pair")}
         for r in range(3, 7):
             for config in pinned_configurations(r):
                 for g in (1, Fraction(len(config), r), 3):
                     classify(config, g)
                 subsystem_types_from_config(config)
                 list(_flats(config))
+        widths = {name: [len(w) for w, u, q in seen] for name, seen in calls.items()}
         assert 3 not in widths["_image"]
         assert widths["_image"] and widths["_pair"]
         assert set(widths["_pair"]) == {3}

@@ -237,20 +237,13 @@ class TestGaleData:
 
 
 class TestWorkGate:
-    def test_the_seed_0_8_by_30_transform_makes_at_most_60_primitive_calls(self, monkeypatch):
+    def test_the_seed_0_8_by_30_transform_makes_at_most_60_primitive_calls(self, spy):
         # one fraction-free Gauss-Jordan pass makes each echelon row primitive
         # once: the kernel of G^T for these points costs 8 basis rows and 22
         # normals, and the 30 target points one call each; GaleData's check of
         # D makes none (counted, not timed, so the host's speed cannot move it)
         config = random_frame_configuration(random.Random(0), 8, 30)
-        calls = []
-        original = stabgeom.exactgeom._primitive
-
-        def counted(ints):
-            calls.append(ints)
-            return original(ints)
-
-        monkeypatch.setattr(stabgeom.exactgeom, "_primitive", counted)
+        calls = spy(stabgeom.exactgeom, "_primitive")
         gale_transform(config)
         assert len(calls) <= 60
 

@@ -196,7 +196,7 @@ class TestOracleAgreement:
             assert v.witness.size == 2
             assert v == oracle_classify(config, 2)
 
-    def test_oracle_ranks_every_subset_without_the_flat_kernel(self, monkeypatch):
+    def test_oracle_ranks_every_subset_without_the_flat_kernel(self, monkeypatch, spy):
         import stabgeom.exactgeom
         import stabgeom.gitstab
 
@@ -206,14 +206,7 @@ class TestOracleAgreement:
         for name in ("_echelon", "_flats", "point_spanned_subspaces"):
             monkeypatch.setattr(stabgeom.exactgeom, name, forbidden)
         monkeypatch.setattr(stabgeom.gitstab, "_flats", forbidden)
-        ranked = []
-        original = stabgeom.gitstab._rank_ints
-
-        def counted(m):
-            ranked.append(len(m))
-            return original(m)
-
-        monkeypatch.setattr(stabgeom.gitstab, "_rank_ints", counted)
+        ranked = spy(stabgeom.gitstab, "_rank_ints")
         config = triple_point_config()
         verdict = oracle_classify(config, 2)
         assert verdict.classification is StabilityClass.UNSTABLE

@@ -666,16 +666,8 @@ class TestOnePowerPass:
     """Each point's power table is built once per question about it."""
 
     @pytest.fixture
-    def passes(self, monkeypatch):
-        calls = []
-        original = SymmetricHypersurfaceModel._powers
-
-        def counted(self, point):
-            calls.append(point)
-            return original(self, point)
-
-        monkeypatch.setattr(SymmetricHypersurfaceModel, "_powers", counted)
-        return calls
+    def passes(self, spy):
+        return spy(SymmetricHypersurfaceModel, "_powers")
 
     def test_duality_makes_three_passes_per_sample(self, monkeypatch, passes):
         import stabgeom.modhyp
@@ -732,4 +724,4 @@ class TestOnePowerPass:
         # belongs to a distinct returned point
         points = sample_segre_points(20, seed=0)
         assert len(passes) == len(points)
-        assert all(p is q for p, q in zip(passes, points))
+        assert all(p is q for (_, p), q in zip(passes, points))

@@ -489,8 +489,8 @@ ROUTES = {
         examples=tuple(DISPATCH_CORPUS),
         max_examples=len(DISPATCH_CORPUS),
     ),
-    # a list of ints: no fast route since the flat-int join was deleted; the
-    # row keeps the general path checked on the input that join took
+    # a list of ints: the key names an input shape, not a route; since the
+    # flat-int join was deleted such a list takes the general path
     "_dumps flat ints": Route(
         home="cli._dumps",
         evidence="BENCH_35.json",
@@ -507,8 +507,8 @@ ROUTES = {
         cases=st.lists(st.one_of(escaped_text, plain_text, st.integers(), st.none()), min_size=1, max_size=5),
         examples=(["1", "-2/3"], ["a", 1], ["a", ["b"]], ["q\"\\\n\u0662"]),
     ),
-    # rows of ints, such as incidence pairs: no fast route since the
-    # int-matrix join was deleted; they go item by item
+    # rows of ints, such as incidence pairs: the key names an input shape,
+    # not a route; since the int-matrix join was deleted they go item by item
     "_dumps int matrix": Route(
         home="cli._dumps",
         evidence="BENCH_35.json",
