@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
@@ -255,7 +256,17 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser, subcommands included, whose errors raise UsageError."""
+    """An argparse parser, subcommands included, whose errors raise UsageError.
+
+    No ``stab`` option looks like a number, so an argument that starts with
+    a minus and a digit (or a minus, a point and a digit) is a value, as in
+    ``--lambdas -1,2,3`` or ``--g -3/2``: argparse by itself takes only
+    ``-3`` or ``-1.5`` for a value and anything else for an option.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?[0-9]")
 
     def error(self, message: str):
         raise UsageError(message)

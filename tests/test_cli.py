@@ -295,6 +295,16 @@ class TestDestableExample:
         assert code == 0
         assert payload(out)["points"][2] == ["1", "2"]
 
+    def test_a_value_may_start_with_a_minus(self, cli):
+        # argparse by itself reads -1,2,3 and -3/2 as options
+        argv = ["destable-example", "--genus", "2", "--lambdas"]
+        code, out, err = cli([*argv, "-1,2,3"])
+        assert (code, out, err) == cli([*argv[:-1], "--lambdas=-1,2,3"])
+        assert (code, payload(out)["points"][1]) == (0, ["1", "-1"])
+        code, _, err = cli(["git-classify", "--g", "-3/2", "--input", "-"], stdin=SIX_POINTS)
+        assert code == 2
+        assert payload(err)["error"] == {"type": "ValueError", "message": "weight g must be positive"}
+
     def test_bad_lambdas_exit_two(self, cli):
         code, _, err = cli(["destable-example", "--genus", "2", "--lambdas", "1,2"])
         assert code == 2

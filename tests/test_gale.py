@@ -324,9 +324,9 @@ class TestSelfAssociation:
 
 @st.composite
 def associated_pairs(draw):
-    """A random_configuration of n points in P^(r-1), 2 <= r <= 4, r + 2 <= n <= min(3r + 2, 12)."""
-    r = draw(st.integers(min_value=2, max_value=4))
-    n = draw(st.integers(min_value=r + 2, max_value=min(3 * r + 2, 12)))
+    """A random_configuration of n points in P^(r-1), 2 <= r <= 5, r + 2 <= n <= 12."""
+    r = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=r + 2, max_value=12))
     return random_configuration(random.Random(draw(st.integers(0, 2**32))), r, n)
 
 

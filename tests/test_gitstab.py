@@ -1,7 +1,10 @@
 """Span-criterion stability: known verdicts, witnesses, and the oracle."""
 
+import json
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -19,10 +22,11 @@ from stabgeom import (
     worst_subspace,
 )
 import stabgeom.cohsys
+import stabgeom.exactgeom
 import stabgeom.gitstab
 from stabgeom.cohsys import equivalence_check, subsystem_types_from_config
 from stabgeom.exactgeom import _flats, point_spanned_subspaces
-from stabgeom.randconf import random_configuration, random_transform
+from stabgeom.randconf import random_configuration, random_transform, random_vector
 
 from helpers import (
     config_of,
@@ -225,6 +229,41 @@ def searched(config, g):
     return values
 
 
+@pytest.fixture
+def search(monkeypatch):
+    """Count the flat search's work: the subtrees it cuts, the flats it
+    decides on (one call of the consumer's keep each; a flat not kept is not
+    yielded, so the yields would not measure the search) and the calls of
+    exactgeom._primitive. gitstab and cohsys pass their descend and keep to
+    _flats only while prune is set."""
+    state = SimpleNamespace(prune=True, cut=0, decided=0, primitive=0)
+
+    def switched(config, descend, keep):
+        def counted_descend(dim, reach):
+            go = descend(dim, reach)
+            state.cut += not go
+            return go
+
+        def counted_keep(dim, size):
+            state.decided += 1
+            return keep(dim, size)
+
+        if not state.prune:
+            return _flats(config)
+        return _flats(config, counted_descend, counted_keep)
+
+    primitive = stabgeom.exactgeom._primitive
+
+    def counted_primitive(ints):
+        state.primitive += 1
+        return primitive(ints)
+
+    monkeypatch.setattr(stabgeom.gitstab, "_flats", switched)
+    monkeypatch.setattr(stabgeom.cohsys, "_flats", switched)
+    monkeypatch.setattr(stabgeom.exactgeom, "_primitive", counted_primitive)
+    return state
+
+
 class TestBranchAndBound:
     """The pruned flat search gives exactly what the whole stream of _flats gives."""
 
@@ -235,26 +274,6 @@ class TestBranchAndBound:
     LEX_TIE = config_of(
         (1, -1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 0), (1, 1, -1, 0), (1, 0, 1, 1), (1, 0, -1, 0)
     )
-
-    @pytest.fixture
-    def search(self, monkeypatch):
-        """Pass gitstab's and cohsys's descend and keep to _flats only while
-        prune is set; count the subtrees it cuts."""
-        state = SimpleNamespace(prune=True, cut=0)
-
-        def switched(config, descend=None, keep=None):
-            def counted(dim, reach):
-                go = descend(dim, reach)
-                state.cut += not go
-                return go
-
-            if not state.prune:
-                return _flats(config)
-            return _flats(config, counted if descend else None, keep)
-
-        monkeypatch.setattr(stabgeom.gitstab, "_flats", switched)
-        monkeypatch.setattr(stabgeom.cohsys, "_flats", switched)
-        return state
 
     def test_pruned_values_equal_the_unpruned_stream(self, search):
         @settings(max_examples=150, deadline=None)
@@ -285,6 +304,86 @@ class TestBranchAndBound:
 
         check()
         assert search.cut
+
+
+def generic_points():
+    """Generic points: one random.Random(5) stream draws 25 points of P^4,
+    which are dropped, then 30 points of P^5 and 28 of P^6."""
+    rng = random.Random(5)
+    for _ in range(25):
+        random_vector(rng, 5)
+    six = config_of(*(random_vector(rng, 6) for _ in range(30)))
+    seven = config_of(*(random_vector(rng, 7) for _ in range(28)))
+    return six, seven
+
+
+# a pytest process alone exceeds 32 MB, so the memory gates run in a fresh
+# interpreter, which reads its peak resident set from VmHWM: ru_maxrss would
+# carry over the peak of the process that started it. The rows of the 30
+# points of P^5 come on stdin, and the last line printed is [agree, peak MB
+# after equivalence at g = 5, peak MB after classify at g = 4]
+PEAKS = """
+import json, sys
+from stabgeom import PointConfiguration, classify, equivalence_check
+
+def peak_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+
+six = PointConfiguration.from_rows(json.load(sys.stdin))
+agree = equivalence_check(six, 5).agree
+after_equivalence = peak_mb()
+classify(six, 4)
+print(json.dumps([agree, after_equivalence, peak_mb()]))
+"""
+
+
+class TestFlatSearchGates:
+    """Memory and work of the flat search on generic points, where its bounds are weakest.
+
+    Memory: the depth-first enumeration keeps no table of flats, and the
+    span-criterion and alpha verdicts of equivalence read one stream of
+    them, so no list of the 173,495 flats of the 30 points of P^5 is held.
+    Work, on the 28 points of P^6: the margin bound alone prunes classify's
+    and equivalence's search at g = 4 to 48,761 of the 498,955 flats, and
+    the subsystem types behind alpha-check run their own search, pruned by
+    the prefix-maximum rule, which decides on 456,151 of them and makes
+    433,054 exactgeom._primitive calls: at the hyperplane level each class's
+    image in V/C is a pair that exactgeom._pair computes in closed form, so
+    a fall back to _image there shows as more (769,792). All counted, not
+    timed, so the host's speed cannot move the gates.
+    """
+
+    SIX, SEVEN = generic_points()
+
+    def test_peak_memory(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAKS],
+            input=json.dumps(self.SIX.rows()),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        agree, after_equivalence, after_classify = json.loads(proc.stdout.splitlines()[-1])
+        assert agree
+        assert after_equivalence <= 32
+        assert after_classify <= 64
+
+    @pytest.mark.parametrize(
+        "run, decided, primitive",
+        [
+            pytest.param(lambda config: classify(config, 4), 100_000, math.inf, id="classify"),
+            pytest.param(
+                lambda config: equivalence_check(config, 4), 100_000, math.inf, id="equivalence"
+            ),
+            pytest.param(subsystem_types_from_config, 470_000, 433_054, id="alpha-check"),
+        ],
+    )
+    def test_work(self, search, run, decided, primitive):
+        run(self.SEVEN)
+        assert search.decided <= decided
+        assert search.primitive <= primitive
 
 
 class TestOracleCap:
