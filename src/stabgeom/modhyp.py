@@ -9,12 +9,13 @@ A model is an integer combination of products of the power sums
 p_k = sum(x_i^k): the cubic is p3 and the quartic p2^2 - 4*p4 (Hunt,
 LNM 1637; Dolgachev-Ortland, Asterisque 165). Values, gradients (chain
 rule, dp_k/dx_i = k*x_i^(k-1)) and Hessians come from the power sums of
-the point, in integers for integer points. One power pass per point
-serves the value, the gradient, the singularity test and the polar
-image: each caller builds a point's power table once and reads every
-answer off it. ``Polynomial`` is the expanded reference form that the
-tests cross-check against. Each model is built once per public call,
-never inside a loop.
+the points, in integers for integer points. The kernel reads a batch of
+points as columns, each step one ``map`` over the batch: one power pass
+per batch serves the values, gradients, singularity tests and polar
+images, and each check tables its points in a few batches; a per-point
+method is a batch of one. ``Polynomial`` is the expanded reference form
+that the tests cross-check against. Each model is built once per public
+call, never inside a loop.
 
 Models and the lists of nodes, lines and points are built without
 checking themselves. Their facts (ten nodes of Hessian rank 4, fifteen
@@ -29,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -39,13 +40,15 @@ from .exactgeom import (
     ScalarLike,
     _check_int,
     _entries,
+    _rank_ints,
     _shown,
     parse_scalar,
-    rank,
 )
 from .randconf import _randints
 
 NVARS = 6
+# the most points one power table holds, so memory does not grow with a sample count
+_BATCH = 4096
 
 Exponents = tuple[int, ...]
 
@@ -167,11 +170,12 @@ class Polynomial:
 Partition = tuple[int, ...]
 
 
-def _at(terms: Iterable[tuple[Partition, int]], p: Sequence):
-    """The combination sum(c * p[k1] * p[k2] * ...) at the power sums p."""
-    total = 0
+def _at(terms: Iterable[tuple[Partition, int]], p: Mapping[int, list]) -> list:
+    """The combination sum(c * p[k1] * p[k2] * ...) at each point of a batch with power sums p."""
+    total = [0] * len(p[0])
     for parts, c in terms:
-        total += c * math.prod(map(p.__getitem__, parts))
+        # map(add, ...) stops with total, so repeat(c) is bounded for parts ()
+        total = list(map(add, total, map(math.prod, zip(repeat(c), *map(p.__getitem__, parts)))))
     return total
 
 
@@ -197,12 +201,12 @@ class SymmetricHypersurfaceModel:
     products of p2 .. p6 are linearly independent there, so a nonzero
     coefficient set is a nonzero form on the hyperplane.
 
-    Each point's power table (x_i^j and the power sums) is computed once
-    and serves the value, the gradient, the singularity test and the polar
-    image. The gradient follows by the chain rule with
-    dp_k/dx_i = k*x_i^(k-1), the Hessian from the second derivatives in
-    the p_k, so integer coordinates stay integers. The first and second
-    derivatives in the p_k are taken once per model.
+    A batch's power table (x_i^j and the power sums, each a list over the
+    batch) is computed once and serves every point's value, gradient,
+    singularity test and polar image. The gradient follows by the chain
+    rule with dp_k/dx_i = k*x_i^(k-1), the Hessian from the second
+    derivatives in the p_k, so integer coordinates stay integers. The
+    first and second derivatives in the p_k are taken once per model.
     """
 
     name: str
@@ -246,38 +250,43 @@ class SymmetricHypersurfaceModel:
         second = tuple((k, l, d2) for k, f in chain for l, _ in chain if (d2 := _d_dp(f, l)))
         object.__setattr__(self, "_second", second)
 
-    def _powers(self, point: "ProjectivePoint | Sequence[ScalarLike]") -> tuple[list, list]:
-        """Columns cols[j][i] = x_i^j for j = 0 .. degree, and the power sums p_0 .. p_degree.
+    def _powers(self, points: Sequence) -> tuple[list, dict]:
+        """A batch's power table: cols[j][i] lists x_i^j over the points (j <= degree), p[k] sums.
 
-        A ``ProjectivePoint`` is read through its coordinates, under the
-        same six-coordinate rule as a list.
+        k is 0 (p_0 = NVARS, for the batch's size) or an order of the form. A
+        ``ProjectivePoint`` is read through its coordinates, as a list is.
         """
-        if isinstance(point, ProjectivePoint):
-            coords = point.coords
-        else:
-            coords = [c if type(c) is int else parse_scalar(c) for c in _entries(point)]
-        if len(coords) != NVARS:
+        rows = [
+            pt.coords if isinstance(pt, ProjectivePoint)
+            else [c if type(c) is int else parse_scalar(c) for c in _entries(pt)]
+            for pt in points
+        ]
+        if any(len(row) != NVARS for row in rows):
             raise ValueError(f"need {NVARS} coordinates")
-        cols = [[1] * NVARS, list(coords)]
+        xs = [*zip(*rows)] or [()] * NVARS
+        cols = [[[1] * len(rows)] * NVARS, xs]
         for _ in range(self.degree - 1):
-            cols.append(list(map(mul, cols[-1], coords)))
-        return cols, list(map(sum, cols))
+            cols.append([list(map(mul, a, x)) for a, x in zip(cols[-1], xs)])
+        p = {k: list(map(sum, zip(*cols[k]))) for k, _ in self._chain}
+        p[0] = [NVARS] * len(rows)
+        return cols, p
 
-    def _gradient(self, cols: list, p: list) -> tuple:
-        """The gradient from a point's power table: sum over k of dF/dp_k * k*x_i^(k-1)."""
-        grad = [0] * NVARS
+    def _gradient(self, cols: list, p: dict) -> list:
+        """A batch's gradient columns: grad[i] lists the sum over k of dF/dp_k * k*x_i^(k-1)."""
+        grad = [[0] * len(p[0])] * NVARS
         for k, d in self._chain:
-            grad = list(map(add, grad, map(mul, cols[k - 1], repeat(k * _at(d, p)))))
-        return tuple(grad)
+            c = [k * v for v in _at(d, p)]
+            grad = [list(map(add, g, map(mul, x, c))) for g, x in zip(grad, cols[k - 1])]
+        return grad
 
     def evaluate(self, point: "ProjectivePoint | Sequence[ScalarLike]"):
-        return _at(self.terms, self._powers(point)[1])
+        return _at(self.terms, self._powers([point])[1])[0]
 
     def gradient(self, point: "ProjectivePoint | Sequence[ScalarLike]") -> tuple:
-        return self._gradient(*self._powers(point))
+        return next(zip(*self._gradient(*self._powers([point]))))
 
-    def hessian(self, point: "ProjectivePoint | Sequence[ScalarLike]") -> list[list]:
-        """The 6x6 matrix of second partials, by the chain rule.
+    def _hessian(self, cols: list, p: dict) -> list[list[list]]:
+        """A batch's Hessian columns: h[i][j] lists d2F/dx_i dx_j over the points.
 
         Entry (i, j) is the sum over k, l of d2F/dp_k dp_l times
         k*x_i^(k-1) * l*x_j^(l-1), plus, when i = j, the sum over k of
@@ -285,17 +294,23 @@ class SymmetricHypersurfaceModel:
         products: row i of the (k, l) one is k*x_i^(k-1) times the vector
         d2F/dp_k dp_l * l*x^(l-1).
         """
-        cols, p = self._powers(point)
-        rows = [[0] * NVARS for _ in range(NVARS)]
+        rows = [[[0] * len(p[0])] * NVARS for _ in range(NVARS)]
         for k, f in self._chain:
-            c = k * (k - 1) * _at(f, p)
+            c = [k * (k - 1) * v for v in _at(f, p)]
             for i, x in enumerate(cols[k - 2]):
-                rows[i][i] += c * x
+                rows[i][i] = list(map(add, rows[i][i], map(mul, c, x)))
         for k, l, f in self._second:
-            c = k * l * _at(f, p)
-            v = [c * y for y in cols[l - 1]]
-            rows = [[h + x * vj for h, vj in zip(row, v)] for row, x in zip(rows, cols[k - 1])]
+            c = [k * l * v for v in _at(f, p)]
+            v = [list(map(mul, c, y)) for y in cols[l - 1]]
+            rows = [
+                [list(map(add, h, map(mul, x, vj))) for h, vj in zip(row, v)]
+                for row, x in zip(rows, cols[k - 1])
+            ]
         return rows
+
+    def hessian(self, point: "ProjectivePoint | Sequence[ScalarLike]") -> list[list]:
+        """The 6x6 matrix of second partials, by the chain rule (see ``_hessian``)."""
+        return [[h for (h,) in row] for row in self._hessian(*self._powers([point]))]
 
 
 @dataclass(frozen=True, init=False)
@@ -369,8 +384,16 @@ def igusa_quartic() -> SymmetricHypersurfaceModel:
 
 def verify_singular_point(model: SymmetricHypersurfaceModel, point: AmbientPoint) -> bool:
     """Singularity of the hyperplane section: F(p) = 0 and grad F proportional to (1,...,1)."""
-    cols, p = model._powers(point)
-    return _at(model.terms, p) == 0 and _along_normal(model._gradient(cols, p))
+    return _singular_points(model, [point])[0]
+
+
+def _singular_points(model: SymmetricHypersurfaceModel, points: Sequence) -> list[bool]:
+    """``verify_singular_point`` at each point of a batch; only points with F = 0 get a gradient."""
+    cols, p = model._powers(points)
+    on = [v == 0 for v in _at(model.terms, p)]
+    cols = [[list(compress(c, on)) for c in col] for col in cols]
+    grads = zip(*model._gradient(cols, {k: list(compress(s, on)) for k, s in p.items()}))
+    return [v and _along_normal(next(grads)) for v in on]
 
 
 def _along_normal(grad: Sequence) -> bool:
@@ -411,12 +434,13 @@ def restricted_hessian_rank(model: SymmetricHypersurfaceModel, point: AmbientPoi
     """Rank of the Hessian quadratic form restricted to the hyperplane sum(w) = 0.
 
     In the basis e_a - e_(a+1) of the hyperplane's tangent directions the
-    entry (a, b) is h[a][b] - h[a][b+1] - h[a+1][b] + h[a+1][b+1].
+    entry (a, b) is h[a][b] - h[a][b+1] - h[a+1][b] + h[a+1][b+1], an int
+    at an ``AmbientPoint``.
     """
     h = model.hessian(point)
     # row differences h[a] - h[a+1], then column differences of those
     rows = [list(map(sub, h[a], h[a + 1])) for a in range(NVARS - 1)]
-    return rank([list(map(sub, row[:-1], row[1:])) for row in rows])
+    return _rank_ints([list(map(sub, row[:-1], row[1:])) for row in rows])
 
 
 def segre_nodes() -> list[SegreNode]:
@@ -496,22 +520,27 @@ def polar_map(model: SymmetricHypersurfaceModel, point: AmbientPoint) -> Ambient
     gradient is translated by its coordinate mean so the image lands back
     in the sum-zero chart. The translate is scaled by NVARS to stay integral.
     """
-    cols, p = model._powers(point)
-    if _at(model.terms, p) != 0:
+    cols, p = model._powers([point])
+    if _at(model.terms, p)[0] != 0:
         raise ValueError("point does not lie on the hypersurface")
-    return _polar_image(model._gradient(cols, p))
+    return _polar_images(model._gradient(cols, p))[0]
 
 
-def _polar_image(grad: Sequence) -> AmbientPoint:
-    """The gradient minus its coordinate mean, scaled by NVARS; see ``polar_map``."""
-    total = sum(grad)
-    centered = [NVARS * gi - total for gi in grad]
-    if not any(centered):
+def _centered(grad: list) -> list[tuple]:
+    """Each point's NVARS*grad - sum(grad) from a batch's gradient columns (0 on the normal)."""
+    total = list(map(sum, zip(*grad)))
+    return list(zip(*[list(map(sub, map(mul, g, repeat(NVARS)), total)) for g in grad]))
+
+
+def _polar_images(grad: list) -> list[AmbientPoint]:
+    """The polar image of each point of a batch, from its gradient columns; see ``polar_map``."""
+    centered = _centered(grad)
+    if (0,) * NVARS in centered:
         raise SingularPointError(
             "gradient is normal to the hyperplane: the point is singular"
         )
     # nonzero, and centring makes the sum zero
-    return AmbientPoint._of(centered)
+    return list(map(AmbientPoint._of, centered))
 
 
 def _random_direction(rng: random.Random) -> list[int]:
@@ -554,41 +583,43 @@ def sample_segre_points(count: int, seed: int = 0) -> list[AmbientPoint]:
     streams. The points of a seed differ from those of versions that drew
     each sample from a stream of its own.
     """
-    return [point for point, _, _ in _segre_samples(segre_cubic(), count, seed)]
+    return [x for points, _, _ in _segre_samples(segre_cubic(), count, seed) for x in points]
 
 
 def _segre_samples(
     model: SymmetricHypersurfaceModel, count: int, seed: int
-) -> Iterator[tuple[AmbientPoint, list, list]]:
-    """Yield each sample of ``sample_segre_points`` with its power table on ``model``, the cubic."""
+) -> Iterator[tuple[list[AmbientPoint], list, dict]]:
+    """Yield the samples of ``sample_segre_points`` in batches, with their tables on ``model``."""
     _check_int(count, "count", 0)
     _check_int(seed, "seed", -math.inf)
     nodes = [n.point for n in segre_nodes()]
     # Random seeds with |seed|, so the zigzag map keeps s and -s apart
     rng = random.Random(2 * seed if seed >= 0 else -2 * seed - 1)
-    for _ in range(count):
-        for _ in range(200):
-            nu = nodes[_randints(rng, 0, len(nodes) - 1, 1)[0]].coords
-            w = _random_direction(rng)
-            squares = list(map(mul, w, w))
-            a2 = 3 * sum(map(mul, nu, squares))
-            a3 = sum(map(mul, w, squares))
-            if a3 == 0 or a2 == 0:
-                continue
-            residual = [a3 * n - a2 * wi for n, wi in zip(nu, w)]
-            # sign-pairing is invariant under scaling, so the raw residual decides
-            if _sign_paired(residual):
-                continue
-            # a zero residual, a3*nu = a2*w, would force w = c*nu and so equal
-            # a3*nu - 3*(a3/c)*c*nu = -2*a3*nu, which is nonzero; its sum is zero
-            point = AmbientPoint._of(residual)
-            cols, p = model._powers(point)
-            if _at(model.terms, p) != 0:
-                raise RuntimeError("residual intersection left the cubic")
-            yield point, cols, p
-            break
-        else:
-            raise RuntimeError("sampling failed to find a usable direction")
+    for start in range(0, count, _BATCH):
+        points = []
+        for _ in range(min(_BATCH, count - start)):
+            for _ in range(200):
+                nu = nodes[_randints(rng, 0, len(nodes) - 1, 1)[0]].coords
+                w = _random_direction(rng)
+                squares = list(map(mul, w, w))
+                a2 = 3 * sum(map(mul, nu, squares))
+                a3 = sum(map(mul, w, squares))
+                if a3 == 0 or a2 == 0:
+                    continue
+                residual = [a3 * n - a2 * wi for n, wi in zip(nu, w)]
+                # sign-pairing is invariant under scaling, so the raw residual decides
+                if _sign_paired(residual):
+                    continue
+                # a zero residual, a3*nu = a2*w, would force w = c*nu and so equal
+                # a3*nu - 3*(a3/c)*c*nu = -2*a3*nu, which is nonzero; its sum is zero
+                points.append(AmbientPoint._of(residual))
+                break
+            else:
+                raise RuntimeError("sampling failed to find a usable direction")
+        cols, p = model._powers(points)
+        if any(_at(model.terms, p)):
+            raise RuntimeError("residual intersection left the cubic")
+        yield points, cols, p
 
 
 @dataclass(frozen=True)
@@ -631,35 +662,37 @@ def duality_check(samples: int, seed: int = 0) -> DualityReport:
     raised. A reverse image is skipped only for a wrong quartic: the
     quartic is singular exactly along its 15 lines, which hold the polar
     images of exactly the sign-paired points, and the sampler rejects
-    those. A sample costs three power passes: x on the cubic (the
-    sampler's on-cubic test and the forward image), y on the quartic
-    (value, singularity test and reverse image) and z on the cubic.
+    those. Each batch of up to ``_BATCH`` samples is tabled three times:
+    the samples x on the cubic (the sampler's on-cubic test and the
+    forward images), their images y on the quartic (values, singularity
+    tests and reverse images) and the reverse images z on the cubic.
+    Counterexamples come in sample order.
     """
     _check_int(samples, "samples", 0)
     segre = segre_cubic()
     igusa = igusa_quartic()
-    forward_ok = 0
-    reverse_ok = 0
-    skipped = 0
+    forward_ok = reverse_ok = skipped = 0
     bad: list[tuple[str, tuple[int, ...]]] = []
-    for x, cols, p in _segre_samples(segre, samples, seed):
-        y = _polar_image(segre._gradient(cols, p))
-        cols, p = igusa._powers(y)
-        if _at(igusa.terms, p) == 0:
+    for xs, cols, p in _segre_samples(segre, samples, seed):
+        ys = _polar_images(segre._gradient(cols, p))
+        cols, p = igusa._powers(ys)
+        forward = _at(igusa.terms, p)
+        # one gradient at y serves the singularity test and the reverse image:
+        # its centred row is zero exactly when it is along the normal
+        images = _centered(igusa._gradient(cols, p))
+        zs = [AmbientPoint._of(c) for f, c in zip(forward, images) if f == 0 and any(c)]
+        reverse = iter(_at(segre.terms, segre._powers(zs)[1]))
+        for x, y, f, c in zip(xs, ys, forward, images):
+            if f != 0:
+                bad.append(("forward", x.coords))
+                continue
             forward_ok += 1
-        else:
-            bad.append(("forward", x.coords))
-            continue
-        # one gradient at y serves the singularity test and the reverse image
-        grad = igusa._gradient(cols, p)
-        if _along_normal(grad):
-            skipped += 1
-            continue
-        z = _polar_image(grad)
-        if segre.evaluate(z) == 0:
-            reverse_ok += 1
-        else:
-            bad.append(("reverse", y.coords))
+            if not any(c):
+                skipped += 1
+            elif next(reverse) == 0:
+                reverse_ok += 1
+            else:
+                bad.append(("reverse", y.coords))
     return DualityReport(
         samples=samples,
         forward_ok=forward_ok,

@@ -30,8 +30,10 @@ from .exactgeom import _check_int, projectively_equivalent
 from .gale import conic_parameter_points, gale_transform, is_self_associated, on_smooth_conic
 from .gitstab import classify, oracle_classify
 from .modhyp import (
+    _BATCH,
     NVARS,
     AmbientPoint,
+    _singular_points,
     duality_check,
     igusa_lines,
     igusa_points,
@@ -42,7 +44,6 @@ from .modhyp import (
     segre_cubic,
     segre_nodes,
     three_three_splits,
-    verify_singular_point,
 )
 from .randconf import (
     _nonzero_vector,
@@ -297,8 +298,8 @@ def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> tuple[list[
     coords_set = {n.point.coords for n in nodes}
     if len(coords_set) != 10:
         failures.append("nodes are not pairwise projectively distinct")
-    for node in nodes:
-        if not verify_singular_point(model, node.point):
+    for node, singular in zip(nodes, _singular_points(model, [n.point for n in nodes])):
+        if not singular:
             failures.append(f"node {node.point.coords} fails the singularity test")
         if restricted_hessian_rank(model, node.point) != 4:
             failures.append(f"node {node.point.coords} restricted Hessian rank != 4")
@@ -311,12 +312,14 @@ def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> tuple[list[
     if len(splits) != 10 or {n.split for n in nodes} != set(splits):
         failures.append("split labels are not a bijection onto the 10 partitions")
     rng = random.Random(seed * _SEED_STRIDE + 44)
-    for _ in range(search_points):
-        v = _nonzero_vector(rng, NVARS - 1, 30)
-        # the draw is nonzero, and the last entry makes the sum zero
-        p = AmbientPoint._of(v + [-sum(v)])
-        if verify_singular_point(model, p) and p.coords not in coords_set:
-            failures.append(f"stray singular point {p.coords}")
+    for start in range(0, search_points, _BATCH):
+        size = min(_BATCH, search_points - start)
+        draws = (_nonzero_vector(rng, NVARS - 1, 30) for _ in range(size))
+        # each draw is nonzero, and the last entry makes the sum zero
+        strays = [AmbientPoint._of(v + [-sum(v)]) for v in draws]
+        for p, singular in zip(strays, _singular_points(model, strays)):
+            if singular and p.coords not in coords_set:
+                failures.append(f"stray singular point {p.coords}")
     # a stray is a failure, so a passing search found no extra singular point
     search = (
         f"{search_points} random hyperplane points, 0 extra singular"
@@ -340,16 +343,16 @@ def check_igusa() -> tuple[list[str], str]:
     # value and gradient differences have degree <= 4 in (t, u), so five
     # distinct ratios already prove the singularity of the whole line
     params = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (3, 2))
-    for line in lines:
-        for t, u in params:
-            point = line.point_at(t, u)
-            if not verify_singular_point(model, point):
-                failures.append(f"line {line.matching} not singular at (t,u)=({t},{u})")
+    cases = [(line, t, u) for line in lines for t, u in params]
+    singular = _singular_points(model, [line.point_at(t, u) for line, t, u in cases])
+    for (line, t, u), ok in zip(cases, singular):
+        if not ok:
+            failures.append(f"line {line.matching} not singular at (t,u)=({t},{u})")
     points = igusa_points()
     if len(points) != 15:
         failures.append(f"expected 15 points, got {len(points)}")
-    for ip in points:
-        if not verify_singular_point(model, ip.point):
+    for ip, singular in zip(points, _singular_points(model, [ip.point for ip in points])):
+        if not singular:
             failures.append(f"distinguished point {ip.point.coords} not singular")
     structure = incidence_15_3()
     if len(structure.flags) != 45:

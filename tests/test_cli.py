@@ -831,12 +831,13 @@ class TestHypersurface:
     )
     def test_wrong_model_is_reported_not_raised(self, cli, monkeypatch, argv, degree):
         # models are built without checking themselves; verify reports the fault.
-        # Every gradient, public or from a shared power table, comes from _gradient.
+        # Every gradient, public or from a shared power table, comes from _gradient,
+        # one column per coordinate over a batch of points.
         gradient = SymmetricHypersurfaceModel._gradient
 
         def perturbed(self, cols, p):
             grad = gradient(self, cols, p)
-            return (grad[0] + 1,) + grad[1:] if self.degree == degree else grad
+            return [[g + 1 for g in grad[0]]] + grad[1:] if self.degree == degree else grad
 
         monkeypatch.setattr(SymmetricHypersurfaceModel, "_gradient", perturbed)
         code, out, err = cli(argv)

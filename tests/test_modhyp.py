@@ -32,7 +32,15 @@ from stabgeom import (
     three_three_splits,
     verify_singular_point,
 )
-from stabgeom.modhyp import NVARS, Polynomial, SegreNode, _along_normal, _sign_paired
+from stabgeom.modhyp import (
+    NVARS,
+    DualityReport,
+    Polynomial,
+    SegreNode,
+    _along_normal,
+    _at,
+    _sign_paired,
+)
 from stabgeom.verify import check_segre_nodes
 
 from helpers import expanded, gauss_rank, pencil_member, sign_paired_by_matching
@@ -250,6 +258,22 @@ class TestPowerSumCore:
             for method in (model.evaluate, model.gradient, model.hessian, expanded(model).evaluate):
                 with pytest.raises(SchemaError):
                     method(coords)
+
+
+class TestBatchKernel:
+    """A batch's columns hold each point's own answers."""
+
+    @given(power_sum_forms(), st.lists(hyperplane_coords(), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_each_point_gets_the_value_gradient_and_hessian_of_the_expansion(self, model, batch):
+        poly = expanded(model)
+        cols, p = model._powers(batch)
+        assert _at(model.terms, p) == [poly.evaluate(c) for c in batch]
+        assert model._gradient(cols, p) == [[d.evaluate(c) for c in batch] for d in poly.partials()]
+        assert model._hessian(cols, p) == [
+            [[d.partial(j).evaluate(c) for c in batch] for j in range(NVARS)]
+            for d in poly.partials()
+        ]
 
 
 class TestAmbientPoint:
@@ -514,7 +538,7 @@ class TestPolarDuality:
         # gradient along (1, ..., 1) everywhere, as on a singular line
         class NormalGradient(SymmetricHypersurfaceModel):
             def _gradient(self, cols, p):
-                return (1,) * NVARS
+                return [[1] * len(p[0])] * NVARS
 
         wrong = NormalGradient("igusa", 4, {(2, 2): 1, (4,): -4})
         monkeypatch.setattr("stabgeom.modhyp.igusa_quartic", lambda: wrong)
@@ -535,6 +559,80 @@ class TestPolarDuality:
         payload = report.to_json()
         assert payload["passed"] is True
         assert payload["counterexamples"] == []
+
+
+def _bumped_gradient(monkeypatch, bump):
+    """Add 1 to the first gradient entry of a degree-d model at each point x where bump(d, x[0]).
+
+    The perturbation of ``test_wrong_model_is_reported_not_raised``, which
+    bumps every point of one degree, keyed by the point so that it does not
+    depend on how the points are batched.
+    """
+    gradient = SymmetricHypersurfaceModel._gradient
+
+    def perturbed(self, cols, p):
+        grad = gradient(self, cols, p)
+        return [[g + bump(self.degree, x0) for g, x0 in zip(grad[0], cols[1][0])]] + grad[1:]
+
+    monkeypatch.setattr(SymmetricHypersurfaceModel, "_gradient", perturbed)
+
+
+def _reference_duality(samples, seed, quartic, bump):
+    """``duality_check`` one sample at a time, on the expanded forms, under ``_bumped_gradient``'s bump."""
+    forms = {3: expanded(segre_cubic()), 4: expanded(quartic)}
+
+    def grad(degree, coords):
+        g = list(forms[degree].gradient(coords))
+        g[0] += bump(degree, coords[0])
+        return g
+
+    def polar(degree, point):
+        g = grad(degree, point.coords)
+        return AmbientPoint([NVARS * gi - sum(g) for gi in g])
+
+    forward_ok = reverse_ok = skipped = 0
+    bad = []
+    for x in sample_segre_points(samples, seed):
+        y = polar(3, x)
+        if forms[4].evaluate(y.coords) != 0:
+            bad.append(("forward", x.coords))
+            continue
+        forward_ok += 1
+        if len(set(grad(4, y.coords))) == 1:
+            skipped += 1
+        elif forms[3].evaluate(polar(4, y).coords) == 0:
+            reverse_ok += 1
+        else:
+            bad.append(("reverse", y.coords))
+    return DualityReport(samples, forward_ok, reverse_ok, skipped, tuple(bad))
+
+
+class TestDualityAgainstAPerSampleReference:
+    """The batched check reports what a per-sample loop on the expanded forms reports."""
+
+    @pytest.mark.parametrize(
+        "terms, bump, kinds",
+        [
+            (None, lambda d, x0: False, set()),
+            ({(2, 2): 1, (4,): -3}, lambda d, x0: False, {"forward"}),
+            (None, lambda d, x0: d == 3, {"forward"}),
+            (None, lambda d, x0: d == 4, {"reverse"}),
+            # the cubic at points with x0 odd, the quartic at the others
+            (None, lambda d, x0: d == 3 if x0 % 2 else d == 4, {"forward", "reverse"}),
+        ],
+        ids=["true", "wrong-quartic", "bumped-cubic", "bumped-quartic", "mixed"],
+    )
+    @pytest.mark.parametrize("seed", [3, -8])
+    def test_reports_are_equal(self, monkeypatch, terms, bump, kinds, seed):
+        quartic = igusa_quartic()
+        if terms is not None:
+            quartic = SymmetricHypersurfaceModel("igusa", 4, terms)
+            monkeypatch.setattr("stabgeom.modhyp.igusa_quartic", lambda: quartic)
+        expected = _reference_duality(12, seed, quartic, bump)
+        _bumped_gradient(monkeypatch, bump)
+        report = duality_check(12, seed)
+        assert report == expected
+        assert {kind for kind, _ in report.counterexamples} == kinds
 
 
 class TestSampling:
@@ -663,65 +761,97 @@ class TestSignPaired:
 
 
 class TestOnePowerPass:
-    """Each point's power table is built once per question about it."""
+    """Each point is tabled once per question about it, in a few batches.
+
+    A pass is one point's entry in a power table. ``_powers`` tables a
+    whole batch in one call, so the passes are the points its calls
+    table, and the calls are counted apart: their number does not grow
+    with the sample count.
+    """
 
     @pytest.fixture
-    def passes(self, spy):
+    def calls(self, spy):
         return spy(SymmetricHypersurfaceModel, "_powers")
 
-    def test_duality_makes_three_passes_per_sample(self, monkeypatch, passes):
+    @staticmethod
+    def passes(calls):
+        return sum(len(points) for _, points in calls)
+
+    def test_duality_makes_three_passes_per_sample(self, monkeypatch, calls):
         import stabgeom.modhyp
 
         # the sampler's table for x serves its on-cubic test and the forward
-        # image, so the check adds two passes per sample: y and z
+        # images, so the check adds two batches: the ys and the zs
         samples = list(stabgeom.modhyp._segre_samples(segre_cubic(), 10, 0))
-        assert len(passes) >= 10
+        assert self.passes(calls) == 10 and len(calls) == 1
         monkeypatch.setattr(
             stabgeom.modhyp, "_segre_samples", lambda model, count, seed: iter(samples)
         )
-        del passes[:]
+        del calls[:]
         report = duality_check(10, 0)
         assert report.passed and report.reverse_skipped == 0
-        assert len(passes) == 20
+        assert self.passes(calls) == 20 and len(calls) == 2
 
-    def test_duality_pass_count(self, passes):
-        # x, y and z for each of the 60 samples: a rejected draw builds no table
+    def test_duality_pass_count(self, calls):
+        # x, y and z for each of the 60 samples: a rejected draw is never tabled
         report = duality_check(60, 5)
         assert report.passed
-        assert len(passes) == 180
+        assert self.passes(calls) == 180 and len(calls) == 3
 
-    def test_segre_pass_count(self, passes):
-        # one table per node test, per node Hessian and per stray point
+    def test_segre_pass_count(self, calls):
+        # one entry per node test, per node Hessian and per stray point
         for seed in (0, 7):
-            del passes[:]
+            del calls[:]
             assert check_segre_nodes(200, seed).passed
-            assert len(passes) == 220
+            assert self.passes(calls) == 220
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_duality_work_gate(self, passes, seed):
-        # 2,000 samples make exactly 6,000 passes at any seed (counted, not
-        # timed, so the host's speed cannot move the gate)
+    def test_duality_work_gate(self, calls, seed):
+        # 2,000 samples make exactly 6,000 passes in 3 calls at any seed
+        # (counted, not timed, so the host's speed cannot move the gate)
         report = duality_check(2000, seed)
         assert report.passed and report.reverse_skipped == 0
-        assert len(passes) == 6000
+        assert self.passes(calls) == 6000 and len(calls) == 3
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_segre_work_gate(self, passes, seed):
+    def test_segre_work_gate(self, calls, seed):
         # a 2,000-point stray search: 2,000 passes, and 20 for the nodes
         assert check_segre_nodes(2000, seed).passed
-        assert len(passes) == 2020
+        assert self.passes(calls) == 2020
 
-    def test_singularity_test_and_polar_map_make_one_pass(self, passes):
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_the_call_count_does_not_grow_with_the_search(self, calls, seed):
+        counts = []
+        for n in (200, 2000):
+            del calls[:]
+            assert check_segre_nodes(n, seed).passed
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("seed", [0, -5])
+    def test_a_long_run_is_tabled_in_batches_of_at_most_batch_points(self, monkeypatch, calls, seed):
+        # the same reports and points as one batch, from ceil(n / _BATCH) tables per question
+        whole = duality_check(23, seed), sample_segre_points(23, seed), check_segre_nodes(23, seed)
+        for module in ("modhyp", "verify"):
+            monkeypatch.setattr(f"stabgeom.{module}._BATCH", 5)
+        del calls[:]
+        assert duality_check(23, seed) == whole[0]
+        assert [len(points) for _, points in calls] == [5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 3, 3, 3]
+        assert sample_segre_points(23, seed) == whole[1]
+        result = check_segre_nodes(23, seed)
+        assert result.passed and result.detail == whole[2].detail
+
+    def test_singularity_test_and_polar_map_make_one_pass(self, calls):
         x = sample_segre_points(1, seed=0)[0]
-        del passes[:]
+        del calls[:]
         assert not verify_singular_point(segre_cubic(), x)
-        assert len(passes) == 1
+        assert self.passes(calls) == 1
         polar_map(segre_cubic(), x)
-        assert len(passes) == 2
+        assert self.passes(calls) == len(calls) == 2
 
-    def test_sampler_makes_one_pass_per_sample(self, passes):
-        # draws are rejected before their point is built, so each table
-        # belongs to a distinct returned point
+    def test_sampler_makes_one_pass_per_sample(self, calls):
+        # draws are rejected before their point is built, so the one batch
+        # holds exactly the returned points
         points = sample_segre_points(20, seed=0)
-        assert len(passes) == len(points)
-        assert all(p is q for (_, p), q in zip(passes, points))
+        assert len(calls) == 1
+        assert calls[0][1] == points and all(p is q for p, q in zip(calls[0][1], points))

@@ -359,8 +359,8 @@ _FAULTS = [
     ),
     (
         lambda: check_segre_nodes(0),
-        "verify_singular_point",
-        lambda model, p: False,
+        "_singular_points",
+        lambda model, points: [False] * len(points),
         "node (1, 1, 1, -1, -1, -1) fails the singularity test",
     ),
     (
@@ -383,15 +383,15 @@ _FAULTS = [
     ),
     (
         lambda: check_segre_nodes(1),
-        "verify_singular_point",
-        lambda model, p: True,
+        "_singular_points",
+        lambda model, points: [True] * len(points),
         "stray singular point (",
     ),
     (check_igusa, "igusa_lines", lambda: igusa_lines()[:14], "expected 15 lines, got 14"),
     (
         check_igusa,
-        "verify_singular_point",
-        lambda model, p: False,
+        "_singular_points",
+        lambda model, points: [False] * len(points),
         "line ((0, 1), (2, 3), (4, 5)) not singular at (t,u)=(1,0)",
     ),
     (check_igusa, "igusa_points", lambda: igusa_points()[:14], "expected 15 points, got 14"),
