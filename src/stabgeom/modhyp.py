@@ -11,11 +11,11 @@ LNM 1637; Dolgachev-Ortland, Asterisque 165). Values, gradients (chain
 rule, dp_k/dx_i = k*x_i^(k-1)) and Hessians come from the power sums of
 the points, in integers for integer points. The kernel reads a batch of
 points as columns, each step one ``map`` over the batch: one power pass
-per batch serves the values, gradients, singularity tests and polar
-images, and each check tables its points in a few batches; a per-point
-method is a batch of one. ``Polynomial`` is the expanded reference form
-that the tests cross-check against. Each model is built once per public
-call, never inside a loop.
+per batch serves the values, gradients, singularity tests, restricted
+Hessian ranks and polar images. Each check tables its points in a few
+batches and asks no per-point method, which is a batch of one.
+``Polynomial`` is the expanded reference form that the tests cross-check
+against. Each model is built once per public call, never inside a loop.
 
 Models and the lists of nodes, lines and points are built without
 checking themselves. Their facts (ten nodes of Hessian rank 4, fifteen
@@ -420,27 +420,25 @@ class SegreNode:
     split: Split
 
 
-def _node_point(split: Split) -> AmbientPoint:
-    coords = [0] * NVARS
-    for i in split[0]:
-        coords[i] = 1
-    for i in split[1]:
-        coords[i] = -1
-    # three 1s and three -1s
-    return AmbientPoint._of(coords)
-
-
 def restricted_hessian_rank(model: SymmetricHypersurfaceModel, point: AmbientPoint) -> int:
     """Rank of the Hessian quadratic form restricted to the hyperplane sum(w) = 0.
 
     In the basis e_a - e_(a+1) of the hyperplane's tangent directions the
     entry (a, b) is h[a][b] - h[a][b+1] - h[a+1][b] + h[a+1][b+1], an int
-    at an ``AmbientPoint``.
+    at an ``AmbientPoint``. A batch of one of ``_restricted_ranks``.
     """
-    h = model.hessian(point)
-    # row differences h[a] - h[a+1], then column differences of those
-    rows = [list(map(sub, h[a], h[a + 1])) for a in range(NVARS - 1)]
-    return _rank_ints([list(map(sub, row[:-1], row[1:])) for row in rows])
+    return _restricted_ranks(model, [point])[0]
+
+
+def _restricted_ranks(model: SymmetricHypersurfaceModel, points: Sequence) -> list[int]:
+    """``restricted_hessian_rank`` at each point of a batch, from one Hessian table."""
+    ranks = []
+    # each point's 6x6 matrix, read off the batch's Hessian columns
+    for h in zip(*[zip(*row) for row in model._hessian(*model._powers(points))]):
+        # row differences h[a] - h[a+1], then column differences of those
+        rows = [list(map(sub, a, b)) for a, b in zip(h, h[1:])]
+        ranks.append(_rank_ints([list(map(sub, row[:-1], row[1:])) for row in rows]))
+    return ranks
 
 
 def segre_nodes() -> list[SegreNode]:
@@ -449,7 +447,11 @@ def segre_nodes() -> list[SegreNode]:
     The points are built, not checked: ``verify.check_segre_nodes`` tests
     each for singularity and Hessian rank 4.
     """
-    return [SegreNode(point=_node_point(split), split=split) for split in three_three_splits()]
+    # 1 on the split's first triple, -1 on the other: three 1s and three -1s
+    return [
+        SegreNode(AmbientPoint._of([1 if i in split[0] else -1 for i in range(NVARS)]), split)
+        for split in three_three_splits()
+    ]
 
 
 def igusa_lines() -> list[MatchingLine]:
@@ -543,13 +545,6 @@ def _polar_images(grad: list) -> list[AmbientPoint]:
     return list(map(AmbientPoint._of, centered))
 
 
-def _random_direction(rng: random.Random) -> list[int]:
-    """A direction in the hyperplane; the zero one has a3 = 0 and is skipped with those."""
-    w = _randints(rng, -9, 9, NVARS - 1)
-    w.append(-sum(w))
-    return w
-
-
 def _sign_paired(coords: Sequence[ScalarLike]) -> bool:
     """Whether the coordinates pair up to sign along some perfect matching.
 
@@ -600,7 +595,9 @@ def _segre_samples(
         for _ in range(min(_BATCH, count - start)):
             for _ in range(200):
                 nu = nodes[_randints(rng, 0, len(nodes) - 1, 1)[0]].coords
-                w = _random_direction(rng)
+                # a direction in the hyperplane; the zero one has a3 = 0 and is skipped with those
+                w = _randints(rng, -9, 9, NVARS - 1)
+                w.append(-sum(w))
                 squares = list(map(mul, w, w))
                 a2 = 3 * sum(map(mul, nu, squares))
                 a3 = sum(map(mul, w, squares))

@@ -7,8 +7,8 @@ Every coordinate and matrix entry is drawn through ``_randints``, which draws
 ``rng.getrandbits(width.bit_length())`` and rejects values of at least
 the width of the range. That is how ``randint`` draws on CPython
 3.10-3.13, so a seed gives the same values as ``randint`` would, and the
-points of a seed are unchanged. A length, rank or bound below 1 is
-refused up front: no draw could then end.
+points of a seed are unchanged. A rank or size below 1 is refused up
+front: no draw could then end.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .exactgeom import (
 )
 
 __all__ = [
-    "random_vector",
     "random_configuration",
     "random_transform",
     "random_frame_configuration",
@@ -55,18 +54,11 @@ def _randints(rng: random.Random, low: int, high: int, count: int) -> list[int]:
 
 
 def _nonzero_vector(rng: random.Random, length: int, bound: int) -> list[int]:
-    """``random_vector`` without its argument checks: draws until the vector is nonzero."""
+    """A nonzero vector with entries in [-bound, bound]; unchecked, so needs length, bound >= 1."""
     while True:
         v = _randints(rng, -bound, bound, length)
         if any(v):
             return v
-
-
-def random_vector(rng: random.Random, length: int, bound: int = 5) -> list[int]:
-    """A nonzero vector with entries in [-bound, bound]."""
-    _check_int(length, "length", 1)
-    _check_int(bound, "bound", 1)
-    return _nonzero_vector(rng, length, bound)
 
 
 def random_configuration(

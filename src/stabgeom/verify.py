@@ -33,6 +33,7 @@ from .modhyp import (
     _BATCH,
     NVARS,
     AmbientPoint,
+    _restricted_ranks,
     _singular_points,
     duality_check,
     igusa_lines,
@@ -40,7 +41,6 @@ from .modhyp import (
     igusa_quartic,
     incidence_15_3,
     perfect_matchings,
-    restricted_hessian_rank,
     segre_cubic,
     segre_nodes,
     three_three_splits,
@@ -298,10 +298,13 @@ def check_segre_nodes(search_points: int = 10_000, seed: int = 0) -> tuple[list[
     coords_set = {n.point.coords for n in nodes}
     if len(coords_set) != 10:
         failures.append("nodes are not pairwise projectively distinct")
-    for node, singular in zip(nodes, _singular_points(model, [n.point for n in nodes])):
+    points = [n.point for n in nodes]
+    for node, singular, rank in zip(
+        nodes, _singular_points(model, points), _restricted_ranks(model, points)
+    ):
         if not singular:
             failures.append(f"node {node.point.coords} fails the singularity test")
-        if restricted_hessian_rank(model, node.point) != 4:
+        if rank != 4:
             failures.append(f"node {node.point.coords} restricted Hessian rank != 4")
         plus, minus = node.split
         signs = {i: 1 for i in plus}

@@ -26,7 +26,7 @@ import stabgeom.exactgeom
 import stabgeom.gitstab
 from stabgeom.cohsys import equivalence_check, subsystem_types_from_config
 from stabgeom.exactgeom import _flats, point_spanned_subspaces
-from stabgeom.randconf import random_configuration, random_transform, random_vector
+from stabgeom.randconf import _nonzero_vector, random_configuration, random_transform
 
 from helpers import (
     config_of,
@@ -311,9 +311,9 @@ def generic_points():
     which are dropped, then 30 points of P^5 and 28 of P^6."""
     rng = random.Random(5)
     for _ in range(25):
-        random_vector(rng, 5)
-    six = config_of(*(random_vector(rng, 6) for _ in range(30)))
-    seven = config_of(*(random_vector(rng, 7) for _ in range(28)))
+        _nonzero_vector(rng, 5, 5)
+    six = config_of(*(_nonzero_vector(rng, 6, 5) for _ in range(30)))
+    seven = config_of(*(_nonzero_vector(rng, 7, 5) for _ in range(28)))
     return six, seven
 
 

@@ -8,6 +8,11 @@ string shows that it does.
   ``verify`` never reach ``randint``, ``randrange`` or ``getrandbits``;
   their draws go through ``randconf._randints``, which keeps the streams
   of a seed unchanged.
+- Batches only: the hypersurface checks of ``verify``, ``modhyp.duality_check``
+  and ``modhyp._segre_samples`` never reach a per-point entry of the
+  power-sum kernel (``evaluate``, ``gradient``, ``hessian``,
+  ``verify_singular_point``, ``restricted_hessian_rank``, ``polar_map``),
+  each a batch of one, so their tables stay few.
 - One canonical routine: ``math.gcd`` appears only in
   ``exactgeom._primitive`` and in ``exactgeom._pair``, its closed form for
   pairs, so a batch of points is made primitive through ``_primitive``.
@@ -21,6 +26,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "stabgeom"
 DRAWS = {"randint", "randrange", "getrandbits"}
 HYPERSURFACE_CHECKS = {"check_segre_nodes", "check_igusa", "check_duality"}
 GCD_HOMES = {("exactgeom", "_primitive"), ("exactgeom", "_pair")}
+PER_POINT = {"evaluate", "gradient", "hessian", "verify_singular_point", "restricted_hessian_rank", "polar_map"}
+BATCH_ONLY = {("verify", name) for name in HYPERSURFACE_CHECKS} | {
+    ("modhyp", "duality_check"),
+    ("modhyp", "_segre_samples"),
+}
 
 
 def _named(source: str, names: set[str]):
@@ -54,6 +64,15 @@ def draw_violations(source: str, module: str) -> list[str]:
     return found
 
 
+def per_point_violations(source: str, module: str) -> list[str]:
+    """Every per-point kernel entry named in a hypersurface check or the sampler."""
+    return [
+        _line(module, source, node)
+        for owner, node in _named(source, PER_POINT)
+        if (module, owner) in BATCH_ONLY
+    ]
+
+
 def gcd_violations(source: str, module: str) -> list[str]:
     """Every ``gcd`` outside ``_primitive`` and ``_pair`` of ``exactgeom``."""
     return [
@@ -72,12 +91,16 @@ def test_hypersurface_draws_go_through_randints():
     assert [line for source, module in _sources() for line in draw_violations(source, module)] == []
 
 
+def test_hypersurface_checks_ask_only_batches():
+    assert [line for source, module in _sources() for line in per_point_violations(source, module)] == []
+
+
 def test_gcd_only_in_the_canonical_routines():
     assert [line for source, module in _sources() for line in gcd_violations(source, module)] == []
 
 
 def test_both_rules_read_the_package():
-    # an empty glob would pass both rules
+    # an empty glob would pass every rule
     modules = {module for _, module in _sources()}
     assert {"exactgeom", "modhyp", "verify", "randconf"} <= modules
 
@@ -109,6 +132,38 @@ def test_names_the_line_of_a_direct_draw():
         "modhyp:10: return draw(5) + rng.randint(0, 9)",
     ]
     assert draw_violations(PLANTED_DRAWS, "randconf") == []
+
+
+PLANTED_PER_POINT = '''\
+from .modhyp import restricted_hessian_rank
+
+
+def check_segre_nodes(model, nodes):
+    ranks = [restricted_hessian_rank(model, n) for n in nodes]
+    return ranks, model.evaluate(nodes[0])
+
+
+def check_combinatorics(model, point):
+    return model.hessian(point)
+
+
+def _segre_samples(model, points):
+    value = model.evaluate
+    return [value(x) for x in points], model._gradient(*model._powers(points))
+'''
+
+
+def test_names_the_line_of_a_per_point_entry():
+    assert per_point_violations(PLANTED_PER_POINT, "verify") == [
+        "verify:5: ranks = [restricted_hessian_rank(model, n) for n in nodes]",
+        "verify:6: return ranks, model.evaluate(nodes[0])",
+    ]
+    # the batched kernel (_powers, _gradient) is what a check may ask
+    assert per_point_violations(PLANTED_PER_POINT, "modhyp") == [
+        "modhyp:14: value = model.evaluate",
+    ]
+    # a module-level import belongs to no check, and randconf holds none
+    assert per_point_violations(PLANTED_PER_POINT, "randconf") == []
 
 
 PLANTED_GCD = '''\

@@ -39,6 +39,7 @@ from stabgeom.modhyp import (
     SegreNode,
     _along_normal,
     _at,
+    _restricted_ranks,
     _sign_paired,
 )
 from stabgeom.verify import check_segre_nodes
@@ -201,6 +202,14 @@ def _expanded_hessian(poly, coords):
     return [[d.partial(j).evaluate(coords) for j in range(NVARS)] for d in poly.partials()]
 
 
+def _restricted(hess):
+    """The Hessian form in the basis e_a - e_(a+1) of the hyperplane, entry by entry."""
+    return [
+        [hess[a][b] - hess[a][b + 1] - hess[a + 1][b] + hess[a + 1][b + 1] for b in range(NVARS - 1)]
+        for a in range(NVARS - 1)
+    ]
+
+
 class TestPowerSumCore:
     """The power-sum evaluation against the expanded Polynomial form."""
 
@@ -212,14 +221,9 @@ class TestPowerSumCore:
         assert model.hessian(coords) == hess
         if any(coords):
             point = AmbientPoint(coords)
-            restricted = [
-                [hess[a][b] - hess[a][b + 1] - hess[a + 1][b] + hess[a + 1][b + 1]
-                 for b in range(NVARS - 1)]
-                for a in range(NVARS - 1)
-            ]
             # the point is rescaled to integers; ranks do not change
             rescaled = _expanded_hessian(poly, point.coords)
-            assert gauss_rank(restricted) == restricted_hessian_rank(model, point)
+            assert gauss_rank(_restricted(hess)) == restricted_hessian_rank(model, point)
             assert model.hessian(point) == rescaled
 
     @given(hyperplane_coords())
@@ -273,6 +277,15 @@ class TestBatchKernel:
         assert model._hessian(cols, p) == [
             [[d.partial(j).evaluate(c) for c in batch] for j in range(NVARS)]
             for d in poly.partials()
+        ]
+
+    @given(power_sum_forms(), st.lists(hyperplane_coords().filter(any), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_each_point_gets_the_restricted_rank_of_the_expansion(self, model, batch):
+        poly = expanded(model)
+        points = [AmbientPoint(c) for c in batch]
+        assert _restricted_ranks(model, points) == [
+            gauss_rank(_restricted(_expanded_hessian(poly, p.coords))) for p in points
         ]
 
 
@@ -685,10 +698,10 @@ class TestSampling:
                 lambda: [SegreNode(AmbientPoint((1, 1, 1, 1, 1, -5)), three_three_splits()[0])],
                 "^residual intersection left the cubic$",
             ),
-            # a3 = 1 - 1 = 0 on every draw
+            # node 1, then the direction (1, -1, 0, 0, 0, 0): a3 = 1 - 1 = 0 on every draw
             (
-                "_random_direction",
-                lambda rng: [1, -1, 0, 0, 0, 0],
+                "_randints",
+                lambda rng, low, high, count: [1, -1, 0, 0, 0][:count],
                 "^sampling failed to find a usable direction$",
             ),
         ],
@@ -821,12 +834,12 @@ class TestOnePowerPass:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_the_call_count_does_not_grow_with_the_search(self, calls, seed):
-        counts = []
+        # one table for the node singularity tests, one for the node Hessians
+        # and one for the stray batch, at any search size up to _BATCH
         for n in (200, 2000):
             del calls[:]
             assert check_segre_nodes(n, seed).passed
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            assert len(calls) == 3
 
     @pytest.mark.parametrize("seed", [0, -5])
     def test_a_long_run_is_tabled_in_batches_of_at_most_batch_points(self, monkeypatch, calls, seed):

@@ -592,7 +592,7 @@ ROUTES = {
         examples=((-5, 17, 20), (FIVE_THOUSAND_DIGITS, 33, 20), (0, 1, 0)),
         max_examples=200,
     ),
-    # the ungated draw behind random_vector and the Segre stray search
+    # the ungated draw behind the random configurations and the Segre stray search
     "_nonzero_vector": Route(
         home="randconf._nonzero_vector",
         evidence="BENCH_35.json",

@@ -365,8 +365,8 @@ _FAULTS = [
     ),
     (
         lambda: check_segre_nodes(0),
-        "restricted_hessian_rank",
-        lambda model, p: 3,
+        "_restricted_ranks",
+        lambda model, points: [3] * len(points),
         "node (1, 1, 1, -1, -1, -1) restricted Hessian rank != 4",
     ),
     (
